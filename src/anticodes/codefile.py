@@ -33,19 +33,34 @@ def code_to_dict(code: LinearCode, with_distribution: bool = False) -> dict:
     return doc
 
 
+def _typed(doc: dict, key: str, kind: type, where: str):
+    """doc[key], checked to be a ``kind`` (a bool never counts as an int)."""
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CodeError(f"{where} needs {kind.__name__} {key!r}, got {value!r}")
+    return value
+
+
 def code_from_dict(doc: dict) -> LinearCode:
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise CodeError(f"not a {FORMAT_NAME} document")
-    fld = doc["field"]
-    field = GF(fld["p"], fld["e"], modulus=fld["modulus"])
-    code = LinearCode(field, Matrix(field, doc["generator"]),
-                      label=doc.get("label", ""))
-    if code.n != doc["n"] or code.k != doc["k"]:
+    fld = _typed(doc, "field", dict, "code file")
+    field = GF(_typed(fld, "p", int, "field"), _typed(fld, "e", int, "field"),
+               modulus=_typed(fld, "modulus", list, "field"))
+    rows = _typed(doc, "generator", list, "code file")
+    if not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows):
+        raise CodeError("generator must be a list of equal-length rows")
+    n, k = _typed(doc, "n", int, "code file"), _typed(doc, "k", int, "code file")
+    code = LinearCode(field, Matrix(field, rows), label=doc.get("label", ""))
+    if code.n != n or code.k != k:
         raise CodeError(
-            f"declared [{doc['n']},{doc['k']}] but generator is "
-            f"[{code.n},{code.k}]")
+            f"declared [{n},{k}] but generator is [{code.n},{code.k}]")
     cached = doc.get("weight_distribution")
     if cached is not None:
+        if not isinstance(cached, dict) or not all(
+                str(w).isdigit() and isinstance(c, int)
+                for w, c in cached.items()):
+            raise CodeError("weight_distribution must map weights to counts")
         wd = WeightDistribution(
             field.q, code.n, code.k, {int(w): c for w, c in cached.items()})
         code._wd = wd

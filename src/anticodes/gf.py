@@ -2,9 +2,9 @@
 
 Elements are integers in [0, q-1] encoding the coefficient vector of the
 residue polynomial in base p (least-significant digit = constant term).
-The modulus is always the lexicographically smallest monic irreducible
-polynomial of degree e over GF(p), comparing coefficient lists from the
-constant term upward, so field construction is deterministic across runs.
+Unless one is given, the modulus is the lexicographically smallest monic
+irreducible polynomial of degree e over GF(p), comparing coefficient lists
+from the constant term upward, so field construction is deterministic.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ def _poly_trim(c):
 
 
 def _poly_mod(a, b, p):
-    """Remainder of a divided by b over GF(p); b must be nonzero."""
+    """Remainder of a divided by the monic b over GF(p)."""
     a = list(a)
     _poly_trim(a)
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p) if p > 2 else b[-1]
     while len(a) - 1 >= db and a:
         shift = len(a) - 1 - db
-        factor = (a[-1] * inv_lead) % p
+        factor = a[-1]
         for i, bc in enumerate(b):
             a[i + shift] = (a[i + shift] - factor * bc) % p
         _poly_trim(a)
@@ -55,10 +54,8 @@ def _poly_mod(a, b, p):
 
 
 def _is_irreducible(poly, p):
-    """Trial division by all monic polynomials of degree <= deg/2."""
+    """Trial division by all monic polynomials of degree <= deg/2 (deg >= 2)."""
     deg = len(poly) - 1
-    if deg == 1:
-        return True
     if poly[0] == 0:  # divisible by x
         return False
     for d in range(1, deg // 2 + 1):
@@ -97,27 +94,84 @@ def smallest_irreducible(p: int, e: int):
     raise FieldError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
+def _generator_powers(p: int, e: int, modulus):
+    """[1, g, ..., g^(q-2)] for the first code g of multiplicative order
+    q - 1; FieldError if none exists, i.e. if the modulus is reducible.
+
+    A walk that returns to 1 early marks its powers, which have smaller
+    order too; in a field every nonzero g has g^(q-1) = 1.
+    """
+    q = p ** e
+    low = [(i, -c) for i, c in enumerate(modulus[:e]) if c]  # x^e = -(low)
+    seen = bytearray(q)
+    for g in range(1, q):
+        if seen[g]:
+            continue
+        gd = [(i, c) for i, c in enumerate(_digits(g, p, e)) if c]
+        powers, cur = [1], [1] + [0] * (e - 1)
+        while True:
+            prod = [0] * (e + gd[-1][0])
+            for i, c in gd:
+                for j, x in enumerate(cur):
+                    prod[i + j] += c * x
+            for t in range(len(prod) - 1, e - 1, -1):
+                top = prod[t] % p
+                for i, c in low:
+                    prod[t - e + i] += top * c
+            cur = [x % p for x in prod[:e]]
+            code = _undigits(cur, p)
+            if code == 1:
+                break
+            if len(powers) == q - 1:
+                raise FieldError(f"modulus {modulus} is reducible over GF({p})")
+            powers.append(code)
+        if len(powers) == q - 1:
+            return powers
+        for a in powers:
+            seen[a] = 1
+    raise FieldError(f"modulus {modulus} is reducible over GF({p})")
+
+
 class GF:
-    """The field GF(p^e) with canonical modulus and integer-coded elements."""
+    """The field GF(p^e) with canonical modulus and integer-coded elements.
+
+    Arithmetic is table lookup: exp[i] = g^i for a generator g (stored
+    twice over, so a sum of two logs needs no reduction) and log[g^i] = i.
+    Addition is XOR for p = 2, mod p for e = 1, and otherwise uses Zech
+    logarithms zech[k] = log(1 + g^k), -1 where 1 + g^k = 0.
+    """
 
     def __init__(self, p: int, e: int, modulus=None):
-        if not is_prime(p):
-            raise FieldError(f"p={p} is not prime")
         if e < 1:
             raise FieldError(f"extension degree must be >= 1, got {e}")
-        q = p ** e
+        # a larger e exceeds the cap for every prime: no huge power is formed
+        q = p ** min(e, SIZE_CAP.bit_length())
         if q > SIZE_CAP:
-            raise FieldError(f"field size {q} exceeds cap {SIZE_CAP}")
+            raise FieldError(f"field size {p}^{e} exceeds cap {SIZE_CAP}")
+        if not is_prime(p):
+            raise FieldError(f"p={p} is not prime")
         self.p = p
         self.e = e
         self.q = q
         self.modulus = list(modulus) if modulus is not None else smallest_irreducible(p, e)
+        if any(isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < p
+               for c in self.modulus):
+            raise FieldError(f"modulus coefficients must be integers in [0, {p})")
         if len(self.modulus) != e + 1 or self.modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree e")
-        self._mul_table = None
-        self._inv_table = None
-        if q <= 512:
-            self._build_tables()
+        powers = _generator_powers(p, e, self.modulus)
+        self._exp = powers + powers
+        self._log = [0] * q
+        for i, a in enumerate(powers):
+            self._log[a] = i
+        self._half = (q - 1) // 2 if p > 2 else 0  # -1 = g^half
+        if p > 2 and e > 1:
+            # 1 + g^k differs from g^k in digit 0 only
+            self._zech = [-1] * (q - 1)
+            for k, a in enumerate(powers):
+                b = a - p + 1 if a % p == p - 1 else a + 1
+                if b:
+                    self._zech[k] = self._log[b]
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -129,16 +183,6 @@ class GF:
     def __hash__(self):
         return hash((self.p, self.e, tuple(self.modulus)))
 
-    # ------------------------------------------------------------------
-    def _build_tables(self):
-        q = self.q
-        self._mul_table = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            row = self._mul_table[a]
-            inv[a] = row.index(1)
-        self._inv_table = inv
-
     def elements(self):
         return range(self.q)
 
@@ -149,46 +193,30 @@ class GF:
 
     # ------------------------------------------------------------------
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        da, db = _digits(a, p, self.e), _digits(b, p, self.e)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
+        if not a or not b:
+            return a or b
+        i = self._log[a]
+        # a + b = g^i (1 + g^(j-i)); a negative j - i indexes mod q - 1
+        z = self._zech[self._log[b] - i]
+        return self._exp[i + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        return _undigits([(-x) % p for x in _digits(a, p, self.e)], p)
+        return self._exp[self._log[a] + self._half] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        p = self.p
-        da, db = _digits(a, p, self.e), _digits(b, p, self.e)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_mod(prod, self.modulus, p)
-        rem += [0] * (self.e - len(rem))
-        return _undigits(rem, p)
-
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError(f"division by zero in {self}")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -196,14 +224,9 @@ class GF:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             raise FieldError("pow exponent must be nonnegative")
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        if not a:
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     # ------------------------------------------------------------------
     def coords(self, a: int):
@@ -224,6 +247,15 @@ def field_make(p: int, e: int) -> GF:
 # subfield embeddings and relative traces
 # ----------------------------------------------------------------------
 
+def _evaluate(field: GF, coeffs, x: int) -> int:
+    """sum of coeffs[i] * x^i in field, by Horner's rule; coefficients are
+    prime-field codes, which are the same in every extension."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _embedding_maps(p: int, sub_e: int, amb_e: int):
     """Embedding GF(p^sub_e) -> GF(p^amb_e) as (forward list, inverse dict).
@@ -233,50 +265,31 @@ def _embedding_maps(p: int, sub_e: int, amb_e: int):
     """
     sub = field_make(p, sub_e)
     amb = field_make(p, amb_e)
-    if sub_e == 1:
-        fwd = list(range(p))  # constants have identical base-p codes
-    else:
-        beta = None
-        for cand in range(amb.q):
-            acc = 0
-            power = 1
-            for c in sub.modulus:
-                if c:
-                    acc = amb.add(acc, amb.mul(c, power))
-                power = amb.mul(power, cand)
-            if acc == 0:
-                beta = cand
-                break
-        if beta is None:
-            raise FieldError("subfield modulus has no root in ambient field")
-        fwd = []
-        for a in range(sub.q):
-            img = 0
-            power = 1
-            for c in sub.coords(a):
-                if c:
-                    img = amb.add(img, amb.mul(c, power))
-                power = amb.mul(power, beta)
-            fwd.append(img)
+    beta = next((c for c in range(amb.q)
+                 if _evaluate(amb, sub.modulus, c) == 0), None)
+    if beta is None:
+        raise FieldError("subfield modulus has no root in ambient field")
+    fwd = [_evaluate(amb, sub.coords(a), beta) for a in range(sub.q)]
     inv = {img: a for a, img in enumerate(fwd)}
     if len(inv) != sub.q:
         raise FieldError("subfield embedding is not injective")
     return tuple(fwd), inv
 
 
-def embed(x: int, sub: GF, amb: GF) -> int:
-    """Image of the GF(p^e) element x inside the ambient field."""
+def _subfield_maps(sub: GF, amb: GF):
     if sub.p != amb.p or amb.e % sub.e:
         raise FieldError(f"{sub} is not a subfield of {amb}")
-    fwd, _ = _embedding_maps(sub.p, sub.e, amb.e)
-    return fwd[x]
+    return _embedding_maps(sub.p, sub.e, amb.e)
+
+
+def embed(x: int, sub: GF, amb: GF) -> int:
+    """Image of the GF(p^e) element x inside the ambient field."""
+    return _subfield_maps(sub, amb)[0][x]
 
 
 def project_to_subfield(x: int, sub: GF, amb: GF) -> int:
     """Subfield code of an ambient element known to lie in the subfield."""
-    if sub.p != amb.p or amb.e % sub.e:
-        raise FieldError(f"{sub} is not a subfield of {amb}")
-    _, inv = _embedding_maps(sub.p, sub.e, amb.e)
+    inv = _subfield_maps(sub, amb)[1]
     if x not in inv:
         raise FieldError(f"element {x} is not in the {sub} subfield of {amb}")
     return inv[x]
@@ -284,16 +297,13 @@ def project_to_subfield(x: int, sub: GF, amb: GF) -> int:
 
 def relative_trace(x: int, amb: GF, sub: GF) -> int:
     """Tr(x) = sum of x^(p^(e*i)) over i < amb.e/sub.e, as a subfield code."""
-    if sub.p != amb.p or amb.e % sub.e:
-        raise FieldError(f"{sub} does not divide {amb}")
+    inv = _subfield_maps(sub, amb)[1]
     m = amb.e // sub.e
-    step = sub.q  # p^sub_e
     t = 0
     term = x
     for _ in range(m):
         t = amb.add(t, term)
-        term = amb.pow(term, step)
-    _, inv = _embedding_maps(sub.p, sub.e, amb.e)
+        term = amb.pow(term, sub.q)
     if t not in inv:
         raise FieldError("trace value escaped the subfield (embedding bug)")
     return inv[t]
@@ -358,11 +368,3 @@ class Matrix:
                 v[pc] = F.neg(reduced[ri][fc])
             basis.append(tuple(v))
         return Matrix(F, basis) if basis else Matrix(F, [])
-
-
-def mat_rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def mat_kernel(m: Matrix) -> Matrix:
-    return m.kernel()

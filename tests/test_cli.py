@@ -147,3 +147,57 @@ def test_console_script_help():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "construct" in proc.stdout
+
+
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _doc(**overrides):
+    """A valid one-row binary code document; an override of None drops
+    the key."""
+    doc = {"format": "linear-code",
+           "field": {"p": 2, "e": 1, "modulus": [0, 1]},
+           "n": 3, "k": 1, "label": "", "generator": [[1, 1, 1]]}
+    doc.update(overrides)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def _assert_usage_error(path, capsys):
+    assert run(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("modulus", [[1, 0, 1], [1] + [0] * 9 + [1]])
+def test_analyze_reducible_modulus_is_usage_error(tmp_path, capsys, modulus):
+    # x^2 + 1 = (x + 1)^2 and x^10 + 1 = (x^5 + 1)^2 over GF(2)
+    e = len(modulus) - 1
+    path = _write_doc(tmp_path, _doc(field={"p": 2, "e": e,
+                                            "modulus": modulus}))
+    _assert_usage_error(path, capsys)
+
+
+@pytest.mark.parametrize("change", [
+    {"field": None},
+    {"field": {"e": 1, "modulus": [0, 1]}},
+    {"field": {"p": 2, "e": "1", "modulus": [0, 1]}},
+    {"field": {"p": 3, "e": 100000, "modulus": [0, 1]}},
+    {"field": {"p": 2, "e": 1}},
+    {"generator": None},
+    {"generator": [1, 1, 1]},
+    {"generator": [[1, 1, 1], [0, 1]]},
+    {"n": None},
+    {"k": True},
+    {"weight_distribution": {"0": 1, "3": "1"}},
+])
+def test_analyze_malformed_code_file_is_usage_error(tmp_path, capsys, change):
+    _assert_usage_error(_write_doc(tmp_path, _doc(**change)), capsys)
+
+
+def test_analyze_hand_written_document(tmp_path, capsys):
+    assert run(["analyze", str(_write_doc(tmp_path, _doc())),
+                "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 3

@@ -1,17 +1,19 @@
 """Field arithmetic, canonical moduli, embeddings, and linear algebra."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticodes.gf import (
-    GF, FieldError, Matrix, embed, field_make, is_prime, mat_kernel,
-    mat_rank, project_to_subfield, relative_trace, smallest_irreducible,
+    GF, FieldError, Matrix, embed, field_make, is_prime, project_to_subfield,
+    relative_trace, smallest_irreducible,
 )
 
 FIELDS = [field_make(2, 1), field_make(3, 1), field_make(2, 2),
           field_make(2, 3), field_make(3, 2), field_make(2, 4),
-          field_make(5, 2)]
+          field_make(5, 2), field_make(2, 10), field_make(3, 6)]
 
 
 def test_is_prime():
@@ -82,6 +84,8 @@ def test_size_cap():
     with pytest.raises(FieldError):
         GF(2, 17)
     with pytest.raises(FieldError):
+        GF(3, 100000)   # q has too many digits to print in the message
+    with pytest.raises(FieldError):
         GF(4, 1)   # not prime
 
 
@@ -127,8 +131,8 @@ def test_trace_tower_consistency():
 def test_matrix_rank_and_kernel():
     F = field_make(2, 1)
     m = Matrix(F, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
-    r = mat_rank(m)
-    ker = mat_kernel(m)
+    r = m.rank()
+    ker = m.kernel()
     assert r + ker.nrows == 4
     # every kernel row is annihilated by the matrix
     for kr in ker.rows:
@@ -143,3 +147,111 @@ def test_rref_pivots():
     assert len(pivots) == m.rank() == 2
     for r, p in zip(rows, pivots):
         assert rows[pivots.index(p)][p] == 1
+
+
+# ----------------------------------------------------------------------
+# an independent oracle: schoolbook polynomial arithmetic on digit lists
+# ----------------------------------------------------------------------
+
+class Oracle:
+    """Schoolbook GF(p^e) arithmetic on coefficient lists, constant term
+    first, with no tables: the reference the table-driven GF must match."""
+
+    def __init__(self, p, e, modulus):
+        self.p, self.e, self.modulus = p, e, modulus
+        self.digits = [[a // p ** i % p for i in range(e)] for a in range(p ** e)]
+
+    def code(self, digs):
+        return sum(d * self.p ** i for i, d in enumerate(digs))
+
+    def add(self, a, b):
+        return self.code([(x + y) % self.p for x, y in
+                          zip(self.digits[a], self.digits[b])])
+
+    def neg(self, a):
+        return self.code([-x % self.p for x in self.digits[a]])
+
+    def mul(self, a, b):
+        """Multiply the residue polynomials, then reduce by the monic
+        modulus from the top degree down."""
+        p, e = self.p, self.e
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(self.digits[a]):
+            if x:
+                for j, y in enumerate(self.digits[b]):
+                    prod[i + j] += x * y
+        for top in range(2 * e - 2, e - 1, -1):
+            c = prod[top] % p
+            if c:
+                for i, m in enumerate(self.modulus):
+                    prod[top - e + i] -= c * m
+        return self.code([x % p for x in prod[:e]])
+
+    def pow(self, a, n):
+        out = 1
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a, n = self.mul(a, a), n >> 1
+        return out
+
+
+def _check_against_oracle(field, operands):
+    ref = Oracle(field.p, field.e, field.modulus)
+    q = field.q
+    for a in operands:
+        assert field.neg(a) == ref.neg(a)
+        if a:
+            assert ref.mul(a, field.inv(a)) == 1
+        for n in (0, 1, 2, 3, q - 2, q - 1, q, q + 1):
+            assert field.pow(a, n) == ref.pow(a, n)
+        for b in operands:
+            assert field.add(a, b) == ref.add(a, b)
+            assert field.mul(a, b) == ref.mul(a, b)
+
+
+SMALL_FIELDS = [(p, e) for p in range(2, 257) if is_prime(p)
+                for e in range(1, 9) if p ** e <= 256]
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+def test_arithmetic_matches_oracle_exhaustively(p, e):
+    field = GF(p, e)
+    _check_against_oracle(field, range(field.q))
+
+
+@pytest.mark.parametrize("p,e", [(2, 9), (2, 10), (3, 6)])
+def test_arithmetic_matches_oracle_sampled(p, e):
+    field = GF(p, e)
+    rng = random.Random(p ** e)
+    _check_against_oracle(field, [0, 1, field.q - 1] +
+                          rng.sample(range(2, field.q - 1), 40))
+
+
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 2, [1, 0, 1]),              # (x + 1)^2
+    (2, 10, [1] + [0] * 9 + [1]),   # x^10 + 1 = (x^5 + 1)^2
+    (3, 2, [2, 0, 1]),              # (x + 1)(x + 2)
+    (2, 4, [1, 0, 1, 0, 1]),        # (x^2 + x + 1)^2
+])
+def test_reducible_modulus_rejected(p, e, modulus):
+    with pytest.raises(FieldError, match="reducible"):
+        GF(p, e, modulus)
+
+
+@pytest.mark.parametrize("modulus", [
+    [1, 3, 1],        # coefficient outside [0, p)
+    [1, -1, 1],
+    [1, "1", 1],      # non-integer entries
+    [1, 1.0, 1],
+    [1, True, 1],
+])
+def test_malformed_modulus_rejected(modulus):
+    with pytest.raises(FieldError):
+        GF(2, 2, modulus)
+
+
+def test_user_modulus_gives_a_field():
+    # x^2 + x + 2 is irreducible but not the canonical x^2 + 1 over GF(3)
+    field = GF(3, 2, [2, 1, 1])
+    _check_against_oracle(field, range(9))
