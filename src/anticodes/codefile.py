@@ -76,4 +76,8 @@ def save_code(code: LinearCode, path, with_distribution: bool = True):
 
 def load_code(path) -> LinearCode:
     with open(path) as fh:
-        return code_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON, bad UTF-8, too long an integer
+            raise CodeError(f"{path}: not a JSON document: {exc}") from exc
+    return code_from_dict(doc)

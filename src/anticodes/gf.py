@@ -257,14 +257,13 @@ def _evaluate(field: GF, coeffs, x: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _embedding_maps(p: int, sub_e: int, amb_e: int):
-    """Embedding GF(p^sub_e) -> GF(p^amb_e) as (forward list, inverse dict).
+def _embedding_maps(sub: GF, amb: GF):
+    """Embedding sub -> amb as (forward list, inverse dict), for the moduli
+    of the two fields given (equal fields hash alike, so they share maps).
 
     Realized by mapping the subfield generator x to the smallest root of
     the subfield modulus inside the ambient field.
     """
-    sub = field_make(p, sub_e)
-    amb = field_make(p, amb_e)
     beta = next((c for c in range(amb.q)
                  if _evaluate(amb, sub.modulus, c) == 0), None)
     if beta is None:
@@ -279,7 +278,7 @@ def _embedding_maps(p: int, sub_e: int, amb_e: int):
 def _subfield_maps(sub: GF, amb: GF):
     if sub.p != amb.p or amb.e % sub.e:
         raise FieldError(f"{sub} is not a subfield of {amb}")
-    return _embedding_maps(sub.p, sub.e, amb.e)
+    return _embedding_maps(sub, amb)
 
 
 def embed(x: int, sub: GF, amb: GF) -> int:

@@ -1,13 +1,17 @@
 """Linear codes: exact weight distributions, duals, projectivity, minimality.
 
-All weight counts come from exhaustive enumeration of the q^k messages.
-A scalar-class enumeration (one representative per projective message class,
-nonzero counts multiplied by q-1) is kept as an independent cross-check.
+Weight counts and minimality verdicts come from one walk, ``_classes``,
+over the projective classes of nonzero messages: one message per class of
+q - 1 scalar multiples, which share one support. The walk holds each
+codeword packed in a single int, so a step is one word-wide addition and a
+weight is one popcount; memory is O(n * e) whatever q^k is.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from collections import Counter
 
 from .gf import GF, Matrix
 
@@ -111,58 +115,22 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}]_{self.field.q}, {self.label!r})"
 
     # ------------------------------------------------------------------
-    def codewords(self):
-        """All q^k codewords as tuples, in span order."""
-        F = self.field
-        words = [tuple([0] * self.n)]
-        for row in self.generator.rows:
-            scaled = [tuple(F.mul(lam, x) for x in row) for lam in range(F.q)]
-            words = [tuple(F.add(a, b) for a, b in zip(w, s))
-                     for w in words for s in scaled]
-        return words
-
-    def _check_cap(self, cap=None):
-        if self.field.q ** self.k > (cap or ENUM_CAP):
+    def _check_cap(self):
+        if self.field.q ** self.k > ENUM_CAP:
             raise CapExceeded(
                 f"q^k = {self.field.q ** self.k} exceeds enumeration cap")
 
     def weight_distribution(self) -> WeightDistribution:
+        """Counts from one codeword per projective class, each times q - 1."""
         if self._wd is None:
             self._check_cap()
-            if self.field.q == 2:
-                counts = self._wd_binary()
-            else:
-                counts = {}
-                for w in self.codewords():
-                    wt = sum(1 for x in w if x)
-                    counts[wt] = counts.get(wt, 0) + 1
-            self._wd = WeightDistribution(self.field.q, self.n, self.k, counts)
+            q = self.field.q
+            classes = Counter(map(int.bit_count,
+                                  _classes(self.field, self.generator.rows)))
+            counts = {0: 1}
+            counts.update((w, c * (q - 1)) for w, c in classes.items())
+            self._wd = WeightDistribution(q, self.n, self.k, counts)
         return self._wd
-
-    def _wd_binary(self):
-        # Gray-code walk: one row xor per message, weights via popcount.
-        rows = [sum(x << j for j, x in enumerate(r)) for r in self.generator.rows]
-        counts = {0: 1}
-        cw = 0
-        for msg in range(1, 1 << self.k):
-            cw ^= rows[(msg & -msg).bit_length() - 1]
-            wt = cw.bit_count()
-            counts[wt] = counts.get(wt, 0) + 1
-        return counts
-
-    def weight_distribution_by_classes(self) -> WeightDistribution:
-        """Independent route: one message per scalar class, counts x (q-1)."""
-        self._check_cap()
-        F = self.field
-        counts = {0: 1}
-        for msg in _projective_messages(F, self.k):
-            w = [0] * self.n
-            for mi, row in zip(msg, self.generator.rows):
-                if mi:
-                    w = [F.add(a, F.mul(mi, b)) for a, b in zip(w, row)]
-            wt = sum(1 for x in w if x)
-            counts[wt] = counts.get(wt, 0) + (F.q - 1)
-        return WeightDistribution(F.q, self.n, self.k, counts)
 
     def min_distance(self) -> int:
         return self.weight_distribution().min_weight
@@ -202,48 +170,45 @@ class LinearCode:
         """(True, None) or (False, (covered, covering)) witness codeword pair.
 
         Minimal means: support containment between nonzero codewords only
-        happens between scalar multiples.
+        happens between scalar multiples. The q - 1 multiples in a
+        projective class share one support, so two classes with the same
+        support, or one support strictly inside another, are a witness.
+        (Equal supports also imply a strict one, u - c*v for the c that
+        cancels a coordinate; the first check just stops the walk early.)
         """
         if self.field.q ** self.k > MINIMAL_CAP:
             raise CapExceeded("pairwise support check over the cap")
-        F = self.field
-        seen_support = {}
-        supports = []  # (mask, weight, codeword)
-        for w in self.codewords():
-            mask = 0
-            for i, x in enumerate(w):
-                if x:
-                    mask |= 1 << i
-            if mask == 0:
-                continue
-            if mask in seen_support:
-                other = seen_support[mask]
-                if not _is_scalar_multiple(F, w, other):
-                    return False, (w, other)
-            else:
-                seen_support[mask] = w
-                supports.append((mask, mask.bit_count(), w))
-        supports.sort(key=lambda t: t[1])
-        for i, (mi, wi, cwi) in enumerate(supports):
-            for mj, wj, cwj in supports[i + 1:]:
-                if wj > wi and mi & mj == mi:
-                    # strict containment between distinct supports
-                    return False, (cwi, cwj)
+        first = {}  # support mask -> index of the first class that has it
+        for index, mask in enumerate(_classes(self.field, self.generator.rows)):
+            other = first.setdefault(mask, index)
+            if other != index:
+                return False, (self._class_codeword(other),
+                               self._class_codeword(index))
+        masks = sorted(first, key=int.bit_count)
+        weights = [m.bit_count() for m in masks]
+        for small, weight in zip(masks, weights):
+            # only a heavier support can strictly contain this one
+            rest = masks[bisect_right(weights, weight):]
+            meets = list(map(small.__and__, rest))
+            if small in meets:
+                big = rest[meets.index(small)]
+                return False, (self._class_codeword(first[small]),
+                               self._class_codeword(first[big]))
         return True, None
+
+    def _class_codeword(self, index: int):
+        """The codeword of the index-th class that ``_classes`` yields."""
+        F = self.field
+        word = [0] * self.n
+        for m, row in zip(_class_message(F, self.k, index), self.generator.rows):
+            if m:
+                word = [F.add(a, F.mul(m, b)) for a, b in zip(word, row)]
+        return tuple(word)
 
     def ab_criterion(self) -> bool:
         """Sufficient minimality condition: q*d > (q-1)*delta, exactly."""
         wd = self.weight_distribution()
         return self.field.q * wd.min_weight > (self.field.q - 1) * wd.max_weight
-
-
-def _is_scalar_multiple(field: GF, u, v):
-    """True when u = c * v for a nonzero scalar c (u, v nonzero tuples)."""
-    pivot = next(i for i, x in enumerate(v) if x)
-    if u[pivot] == 0:
-        return False
-    c = field.div(u[pivot], v[pivot])
-    return all(x == field.mul(c, y) for x, y in zip(u, v))
 
 
 def canonical_point(field: GF, vec):
@@ -255,15 +220,83 @@ def canonical_point(field: GF, vec):
     return None
 
 
-def _projective_messages(field: GF, k: int):
-    """One representative per scalar class: first nonzero coordinate = 1."""
-    q = field.q
-    for lead in range(k):
-        tail = k - lead - 1
-        for code in range(q ** tail):
-            digs = []
-            c = code
-            for _ in range(tail):
-                digs.append(c % q)
-                c //= q
-            yield tuple([0] * lead + [1] + digs)
+# ----------------------------------------------------------------------
+# the class walk
+#
+# A message whose first nonzero coordinate is 1 stands for its projective
+# class. Below the leading 1 the message has e * t digits over GF(p), t the
+# number of later rows: digit j is the coefficient of beta_d = x^d (the
+# element code p^d) in coordinate lead + 1 + j // e, d = j % e. The walk
+# counts s = 0, 1, ... in base p and at each step adds 1 to digit v_p(s),
+# the number of trailing zero digits of s (a modular p-ary Gray code), so a
+# step adds one precomputed codeword beta_d * row. After s steps digit j is
+# (s_j - s_(j+1)) mod p, where s_j is the j-th base-p digit of s.
+# ----------------------------------------------------------------------
+
+def _classes(field: GF, rows):
+    """Yield one support mask per projective class of nonzero messages.
+
+    Codewords are packed into one int with a lane of W bits per coordinate;
+    digit d of coordinate i sits at bit i*W + d*w. For p = 2 digits add by
+    XOR (w = 1). For odd p a w-bit digit holds sums up to 2p - 2 below its
+    guard bit, and a sum is reduced by subtracting p where it reaches p.
+    A lane's top bit stays 0 (for p = 2, e > 1 it is one extra bit), so
+    (cw + low) & high has one bit for each nonzero coordinate; for GF(2)
+    the codeword is its own mask. A mask's
+    bits sit at lane positions, not coordinate positions, but its
+    bit_count is the weight and supports nest exactly when masks do.
+    """
+    p, e, n = field.p, field.e, len(rows[0])
+    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    W = e * w + (p == 2 and e > 1)
+    every = ((1 << n * W) - 1) // ((1 << W) - 1)     # bit 0 of every lane
+    low, high = ((1 << W - 1) - 1) * every, (1 << W - 1) * every
+
+    lanes = [0]                                   # lanes[a]: a's digits
+    for d in range(e):
+        lanes = [x | c << d * w for c in range(p) for x in lanes]
+
+    def pack(vec):
+        cw = 0
+        for x in reversed(vec):
+            cw = cw << W | lanes[x]
+        return cw
+
+    scaled = [[pack([field.mul(p ** d, x) for x in row]) for d in range(e)]
+              for row in rows]
+    plain = p == 2 and e == 1
+    if p > 2:
+        digit = ((1 << n * e * w) - 1) // ((1 << w) - 1)  # bit 0 of every digit
+        guard, bump = (1 << w - 1) * digit, ((1 << w - 1) - p) * digit
+    for lead, multiples in enumerate(scaled):
+        cw = multiples[0]                                 # beta_0 = 1
+        tail = [v for later in scaled[lead + 1:] for v in later]
+        yield cw if plain else (cw + low) & high
+        if p == 2:
+            for s in range(1, 1 << len(tail)):
+                cw ^= tail[(s & -s).bit_length() - 1]
+                yield cw if plain else (cw + low) & high
+            continue
+        top, s_digits = p - 1, [0] * len(tail)
+        for _ in range(p ** len(tail) - 1):
+            j = 0
+            while s_digits[j] == top:
+                s_digits[j] = 0
+                j += 1
+            s_digits[j] += 1
+            cw += tail[j]
+            cw -= (((cw + bump) & guard) >> w - 1) * p
+            yield (cw + low) & high
+
+
+def _class_message(field: GF, k: int, index: int):
+    """The message of the index-th class that ``_classes`` yields."""
+    p, e, q = field.p, field.e, field.q
+    lead = 0
+    while index >= q ** (k - lead - 1):
+        index -= q ** (k - lead - 1)
+        lead += 1
+    t = k - lead - 1
+    gray = [(index // p ** j - index // p ** (j + 1)) % p for j in range(e * t)]
+    return [0] * lead + [1] + [field.from_coords(gray[i * e:(i + 1) * e])
+                               for i in range(t)]

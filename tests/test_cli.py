@@ -192,6 +192,8 @@ def test_analyze_reducible_modulus_is_usage_error(tmp_path, capsys, modulus):
     {"n": None},
     {"k": True},
     {"weight_distribution": {"0": 1, "3": "1"}},
+    {"field": {"p": 2, "e": 1, "modulus": [0, [1]]}},
+    {"field": {"p": 2, "e": 1, "modulus": [0, True]}},
 ])
 def test_analyze_malformed_code_file_is_usage_error(tmp_path, capsys, change):
     _assert_usage_error(_write_doc(tmp_path, _doc(**change)), capsys)
@@ -201,3 +203,12 @@ def test_analyze_hand_written_document(tmp_path, capsys):
     assert run(["analyze", str(_write_doc(tmp_path, _doc())),
                 "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 3
+
+
+def test_analyze_oversized_integer_is_usage_error(tmp_path, capsys):
+    # json rejects an integer literal of more than 4300 digits with a bare
+    # ValueError; without that limit the declared n is simply wrong
+    text = json.dumps(_doc()).replace('"n": 3', '"n": ' + "9" * 5000)
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    _assert_usage_error(path, capsys)

@@ -101,6 +101,23 @@ def test_embedding_is_a_field_homomorphism():
         assert project_to_subfield(embed(a, sub, amb), sub, amb) == a
 
 
+@pytest.mark.parametrize("sub, amb", [
+    (field_make(2, 2), GF(2, 4, [1, 1, 0, 0, 1])),   # x^4 + x + 1
+    (GF(3, 2, [2, 1, 1]), field_make(3, 4)),          # x^2 + x + 2
+])
+def test_embedding_uses_the_given_moduli(sub, amb):
+    assert sub.modulus != field_make(sub.p, sub.e).modulus or \
+        amb.modulus != field_make(amb.p, amb.e).modulus
+    image = [embed(a, sub, amb) for a in range(sub.q)]
+    for a in range(sub.q):
+        for b in range(sub.q):
+            assert image[sub.add(a, b)] == amb.add(image[a], image[b])
+            assert image[sub.mul(a, b)] == amb.mul(image[a], image[b])
+        assert project_to_subfield(image[a], sub, amb) == a
+    traces = {relative_trace(x, amb, sub) for x in range(amb.q)}
+    assert traces == set(range(sub.q))
+
+
 def test_project_outside_subfield_raises():
     sub, amb = field_make(2, 2), field_make(2, 4)
     images = {embed(a, sub, amb) for a in range(4)}

@@ -1,15 +1,64 @@
-"""Weight distributions, duals, projectivity, and minimality."""
+"""Weight distributions, duals, projectivity, and minimality.
+
+The class walk is checked against ``span``, a naive enumeration of all q^k
+codewords, and against a literal pairwise minimality check on its output.
+"""
+
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anticodes import linear
 from anticodes.gf import field_make
 from anticodes.linear import (
     CapExceeded, CodeError, LinearCode, WeightDistribution,
 )
-from anticodes.constructions import fixed_weight_anticode, rs_code, simplex
+from anticodes.constructions import (
+    fixed_weight_anticode, prime_power, rs_code, simplex,
+)
 
 F2 = field_make(2, 1)
+ORACLE_CAP = 1 << 12
+
+
+def span(code):
+    """All q^k codewords as tuples, by adding every multiple of each row."""
+    F = code.field
+    assert F.q ** code.k <= ORACLE_CAP, "oracle limited to q^k <= 2^12"
+    words = [tuple([0] * code.n)]
+    for row in code.generator.rows:
+        scaled = [tuple(F.mul(lam, x) for x in row) for lam in range(F.q)]
+        words = [tuple(F.add(a, b) for a, b in zip(w, s))
+                 for w in words for s in scaled]
+    return words
+
+
+def span_distribution(code):
+    return WeightDistribution(code.field.q, code.n, code.k,
+                              Counter(sum(1 for x in w if x)
+                                      for w in span(code)))
+
+
+def support(word):
+    return frozenset(i for i, x in enumerate(word) if x)
+
+
+def proportional(field, u, v):
+    return any(tuple(field.mul(c, y) for y in v) == u for c in range(1, field.q))
+
+
+def pairwise_minimal(code, words):
+    """Literal definition: supp(u) inside supp(v) only for u, v proportional.
+    Words are grouped by support, so only nested groups are compared."""
+    groups = {}
+    for w in words:
+        if any(w):
+            groups.setdefault(support(w), []).append(w)
+    return not any(small <= big and not proportional(code.field, u, v)
+                   for small in groups for big in groups
+                   for u in groups[small] for v in groups[big])
 
 
 def test_weight_distribution_validation():
@@ -46,14 +95,15 @@ def test_simplex_distribution():
     fixed_weight_anticode(7, 4),
 ])
 def test_two_enumeration_routes_agree(code):
-    assert code.weight_distribution() == code.weight_distribution_by_classes()
+    assert code.weight_distribution() == span_distribution(code)
 
 
 def test_codeword_count():
     code = rs_code(4, 2)
-    words = code.codewords()
-    assert len(words) == 16
-    assert len(set(words)) == 16
+    words = span(code)
+    assert len(set(words)) == len(words) == 16
+    # the 15 nonzero codewords fall into 5 classes of q - 1 = 3 multiples
+    assert sum(1 for _ in linear._classes(code.field, code.generator.rows)) == 5
 
 
 def test_dual_of_simplex_is_hamming():
@@ -63,6 +113,14 @@ def test_dual_of_simplex_is_hamming():
     assert dual.min_distance() == 3
     assert code.dual_distance() == 3
     assert code.is_projective()
+
+
+def test_dual_distance_of_a_high_rate_code():
+    # the [31,26]_2 Hamming code: q^k = 2^26 is over the cap, but the dual
+    # is the 5-dimensional simplex code, all of whose nonzero words weigh 16
+    hamming = simplex(2, 5).dual_code()
+    assert linear.ENUM_CAP < 2 ** hamming.k
+    assert hamming.dual_distance() == 16
 
 
 def test_projectivity_column_test():
@@ -113,3 +171,47 @@ def test_from_columns_records_ambient_points():
     assert code.k == 2                      # rank, not ambient dimension
     dim, pts = code.column_points
     assert dim == 3 and list(pts) == cols
+
+
+# q^k <= 729 keeps the literal pairwise check on every codeword quick
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+
+
+@st.composite
+def full_rank_codes(draw):
+    q = draw(st.sampled_from(ORACLE_FIELDS))
+    field = field_make(*prime_power(q))
+    k = draw(st.integers(1, max(j for j in range(1, 10) if q ** j <= 729)))
+    n = draw(st.integers(k, k + 5))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=k, max_size=k))
+    try:
+        return LinearCode.from_generator(field, rows)
+    except CodeError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_codes())
+def test_class_walk_against_oracle(code):
+    F, q = code.field, code.field.q
+    words = span(code)
+    assert code.weight_distribution() == span_distribution(code)
+
+    # class i's codeword has the i-th mask's weight, and the q - 1 multiples
+    # of the class codewords are the nonzero codewords, each once
+    masks = list(linear._classes(F, code.generator.rows))
+    reps = [code._class_codeword(i) for i in range(len(masks))]
+    assert [m.bit_count() for m in masks] == [len(support(r)) for r in reps]
+    multiples = [tuple(F.mul(c, x) for x in r) for r in reps for c in range(1, q)]
+    assert sorted(multiples) == sorted(w for w in words if any(w))
+
+    ok, witness = code.is_minimal_exact()
+    assert ok == pairwise_minimal(code, words)
+    if ok:
+        assert witness is None
+    else:
+        covered, covering = witness
+        assert covered in words and covering in words
+        assert support(covered) <= support(covering)
+        assert any(covered) and not proportional(F, covered, covering)
