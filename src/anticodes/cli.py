@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -193,7 +194,9 @@ def cmd_catalog(args) -> int:
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on the first call; it holds no per-call state."""
     parser = _Parser(prog="anticodes",
                      description="Projective linear codes and anticodes: "
                                  "construction, analysis, verification.")

@@ -4,13 +4,15 @@ Weight counts and minimality verdicts come from one walk, ``_classes``,
 over the projective classes of nonzero messages: one message per class of
 q - 1 scalar multiples, which share one support. The walk holds each
 codeword packed in a single int, so a step is one word-wide addition and a
-weight is one popcount; memory is O(n * e) whatever q^k is.
+weight is one popcount; memory is O(n * e) whatever q^k is. Minimality is
+checked on the same walk, one class at a time: the columns where the class
+vanishes must span its hyperplane (``_short_span``).
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+import random
 from collections import Counter
 
 from .gf import GF, Matrix
@@ -124,13 +126,16 @@ class LinearCode:
         """Counts from one codeword per projective class, each times q - 1."""
         if self._wd is None:
             self._check_cap()
-            q = self.field.q
-            classes = Counter(map(int.bit_count,
-                                  _classes(self.field, self.generator.rows)))
-            counts = {0: 1}
-            counts.update((w, c * (q - 1)) for w, c in classes.items())
-            self._wd = WeightDistribution(q, self.n, self.k, counts)
+            self._wd = self._distribution(Counter(
+                map(int.bit_count, _classes(self.field, self.generator.rows))))
         return self._wd
+
+    def _distribution(self, classes):
+        """The distribution from a count of class weights."""
+        q = self.field.q
+        counts = {0: 1}
+        counts.update((w, c * (q - 1)) for w, c in classes.items())
+        return WeightDistribution(q, self.n, self.k, counts)
 
     def min_distance(self) -> int:
         return self.weight_distribution().min_weight
@@ -170,37 +175,46 @@ class LinearCode:
         """(True, None) or (False, (covered, covering)) witness codeword pair.
 
         Minimal means: support containment between nonzero codewords only
-        happens between scalar multiples. The q - 1 multiples in a
-        projective class share one support, so two classes with the same
-        support, or one support strictly inside another, are a witness.
-        (Equal supports also imply a strict one, u - c*v for the c that
-        cancels a coordinate; the first check just stops the walk early.)
+        happens between scalar multiples. That holds iff the columns form a
+        cutting blocking set (Alfarano-Borello-Neri, arXiv:1911.11738):
+        for every nonzero message u, the columns where uG vanishes span the
+        hyperplane u^perp. If they span only V' < u^perp, any u' != u in
+        the null space of V' vanishes wherever u does, so supp(u'G) lies
+        inside supp(uG). The walk that tests each class also counts its
+        weight, and stores the distribution when the code is minimal.
         """
-        if self.field.q ** self.k > MINIMAL_CAP:
-            raise CapExceeded("pairwise support check over the cap")
-        first = {}  # support mask -> index of the first class that has it
-        for index, mask in enumerate(_classes(self.field, self.generator.rows)):
-            other = first.setdefault(mask, index)
-            if other != index:
-                return False, (self._class_codeword(other),
-                               self._class_codeword(index))
-        masks = sorted(first, key=int.bit_count)
-        weights = [m.bit_count() for m in masks]
-        for small, weight in zip(masks, weights):
-            # only a heavier support can strictly contain this one
-            rest = masks[bisect_right(weights, weight):]
-            meets = list(map(small.__and__, rest))
-            if small in meets:
-                big = rest[meets.index(small)]
-                return False, (self._class_codeword(first[small]),
-                               self._class_codeword(first[big]))
+        F, q, k = self.field, self.field.q, self.k
+        if q ** k > MINIMAL_CAP:
+            raise CapExceeded(f"q^k = {q ** k} exceeds the minimality cap")
+        # the builders list columns in sorted order, whose first columns in a
+        # hyperplane lie in a small subspace; a fixed shuffle reaches rank
+        # k - 1 after a few more than k - 1 columns
+        order = list(range(self.n))
+        random.Random(0).shuffle(order)
+        rows = [[row[i] for i in order] for row in self.generator.rows]
+        short = _short_span(F, rows)
+        weights = Counter()
+        for index, mask in enumerate(_classes(F, rows)):
+            weights[mask.bit_count()] += 1
+            basis = short(mask)
+            if basis is not None:
+                return False, self._witness(_class_message(F, k, index), basis)
+        if self._wd is None and q ** k <= ENUM_CAP:
+            self._wd = self._distribution(weights)
         return True, None
 
-    def _class_codeword(self, index: int):
-        """The codeword of the index-th class that ``_classes`` yields."""
+    def _witness(self, u, basis):
+        """(u'G, uG) for a u' that vanishes on ``basis``, not a multiple of u."""
+        F = self.field
+        null = Matrix(F, basis or [[0] * self.k]).kernel()
+        other = next(x for x in null.rows
+                     if canonical_point(F, x) != canonical_point(F, u))
+        return self._codeword(other), self._codeword(u)
+
+    def _codeword(self, message):
         F = self.field
         word = [0] * self.n
-        for m, row in zip(_class_message(F, self.k, index), self.generator.rows):
+        for m, row in zip(message, self.generator.rows):
             if m:
                 word = [F.add(a, F.mul(m, b)) for a, b in zip(word, row)]
         return tuple(word)
@@ -233,41 +247,82 @@ def canonical_point(field: GF, vec):
 # (s_j - s_(j+1)) mod p, where s_j is the j-th base-p digit of s.
 # ----------------------------------------------------------------------
 
+class _Packing:
+    """The lane layout of packed vectors of one length over GF(p^e).
+
+    A vector is one int with a lane of W bits per coordinate; digit d of
+    coordinate i sits at bit i*W + d*w. For p = 2 digits add by XOR
+    (w = 1). For odd p a w-bit digit holds sums up to 2p - 2 below its
+    guard bit, and a sum is reduced by subtracting p where it reaches p:
+    s - (((s + bump) & guard) >> w - 1) * p. A lane's top bit stays 0 (for
+    p = 2, e > 1 it is one extra bit), so (v + low) & high has one bit, the
+    lane's top bit, for each nonzero coordinate; for GF(2) a vector is its
+    own mask.
+    """
+
+    def __init__(self, field: GF, length: int):
+        p, e = field.p, field.e
+        w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+        W = e * w + (p == 2 and e > 1)
+        every = ((1 << length * W) - 1) // ((1 << W) - 1)   # bit 0 of every lane
+        digit = ((1 << length * e * w) - 1) // ((1 << w) - 1)  # of every digit
+        self.field, self.w, self.W = field, w, W
+        self.low, self.high = ((1 << W - 1) - 1) * every, (1 << W - 1) * every
+        self.guard, self.bump = (1 << w - 1) * digit, ((1 << w - 1) - p) * digit
+        self.lanes = [0]                                 # lanes[a]: a's digits
+        for d in range(e):
+            self.lanes = [x | c << d * w for c in range(p) for x in self.lanes]
+        self.unlane = {x: a for a, x in enumerate(self.lanes)}
+        # p = 2: x^e is this element modulo the modulus
+        self.wrap = sum(c << d for d, c in enumerate(field.modulus[:e]))
+
+    def pack(self, vec):
+        """Coordinate 0 in the lowest lane."""
+        v = 0
+        for x in reversed(vec):
+            v = v << self.W | self.lanes[x]
+        return v
+
+    def multiples(self, v: int):
+        """[a * v for every element code a], packed."""
+        F, W = self.field, self.W
+        p, e = F.p, F.e
+        if e == 1:                                   # v + v + ... + v
+            m = [0, v]
+            for _ in range(p - 2):
+                s = m[-1] + v
+                m.append(s - (((s + self.bump) & self.guard) >> self.w - 1) * p)
+            return m
+        if p == 2:              # x^d * v: shift every lane, fold back x^e
+            top = self.high >> 1                     # digit e - 1 of a lane
+            powers = [v]
+            for _ in range(e - 1):
+                u = powers[-1]
+                carry = (u & top) >> e - 1           # bit 0 of lanes that wrap
+                powers.append((u ^ u & top) << 1 ^ carry * self.wrap)
+            m = [0]
+            for a in range(1, F.q):
+                m.append(m[a & (a - 1)] ^ powers[(a & -a).bit_length() - 1])
+            return m
+        length = (v.bit_length() + W - 1) // W
+        elems = [self.unlane[v >> i * W & (1 << W) - 1] for i in range(length)]
+        return [self.pack([F.mul(a, y) for y in elems]) for a in range(F.q)]
+
+
 def _classes(field: GF, rows):
     """Yield one support mask per projective class of nonzero messages.
 
-    Codewords are packed into one int with a lane of W bits per coordinate;
-    digit d of coordinate i sits at bit i*W + d*w. For p = 2 digits add by
-    XOR (w = 1). For odd p a w-bit digit holds sums up to 2p - 2 below its
-    guard bit, and a sum is reduced by subtracting p where it reaches p.
-    A lane's top bit stays 0 (for p = 2, e > 1 it is one extra bit), so
-    (cw + low) & high has one bit for each nonzero coordinate; for GF(2)
-    the codeword is its own mask. A mask's
-    bits sit at lane positions, not coordinate positions, but its
-    bit_count is the weight and supports nest exactly when masks do.
+    Codewords are packed as ``_Packing`` lays them out, and a mask is
+    (cw + low) & high. Its bits sit at lane positions, not coordinate
+    positions, but its bit_count is the weight and supports nest exactly
+    when masks do.
     """
-    p, e, n = field.p, field.e, len(rows[0])
-    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
-    W = e * w + (p == 2 and e > 1)
-    every = ((1 << n * W) - 1) // ((1 << W) - 1)     # bit 0 of every lane
-    low, high = ((1 << W - 1) - 1) * every, (1 << W - 1) * every
-
-    lanes = [0]                                   # lanes[a]: a's digits
-    for d in range(e):
-        lanes = [x | c << d * w for c in range(p) for x in lanes]
-
-    def pack(vec):
-        cw = 0
-        for x in reversed(vec):
-            cw = cw << W | lanes[x]
-        return cw
-
-    scaled = [[pack([field.mul(p ** d, x) for x in row]) for d in range(e)]
+    p, e = field.p, field.e
+    lay = _Packing(field, len(rows[0]))
+    w, low, high, guard, bump = lay.w, lay.low, lay.high, lay.guard, lay.bump
+    scaled = [[lay.pack([field.mul(p ** d, x) for x in row]) for d in range(e)]
               for row in rows]
     plain = p == 2 and e == 1
-    if p > 2:
-        digit = ((1 << n * e * w) - 1) // ((1 << w) - 1)  # bit 0 of every digit
-        guard, bump = (1 << w - 1) * digit, ((1 << w - 1) - p) * digit
     for lead, multiples in enumerate(scaled):
         cw = multiples[0]                                 # beta_0 = 1
         tail = [v for later in scaled[lead + 1:] for v in later]
@@ -300,3 +355,107 @@ def _class_message(field: GF, k: int, index: int):
     gray = [(index // p ** j - index // p ** (j + 1)) % p for j in range(e * t)]
     return [0] * lead + [1] + [field.from_coords(gray[i * e:(i + 1) * e])
                                for i in range(t)]
+
+
+def _short_span(field: GF, rows):
+    """The cutting-blocking-set test, one class at a time.
+
+    ``rows`` is the generator the class walk runs on. The returned function
+    takes a class's support mask and reduces the columns where the class
+    vanishes, lowest lane first, until they reach rank k - 1: then they
+    span the class's hyperplane and it returns None. If they fall short it
+    returns a basis of their span, as message-space vectors.
+
+    A column is packed like a codeword of length k, coordinate 0 in the top
+    lane. Basis vectors are kept unnormalised and keyed by the bit length
+    of their pivot, their top nonzero lane. Reducing by one adds the entry
+    of its table of multiples for the lane being cleared; the table is
+    built on the vector's first reduction, and a column that entered the
+    basis unreduced keeps its table for every class.
+    """
+    k, q = len(rows), field.q
+    if k == 1:                       # the hyperplane is {0}
+        return lambda mask: None
+    walk, lay = _Packing(field, len(rows[0])), _Packing(field, k)
+    W, lanes, target = lay.W, lay.lanes, k - 1
+    lane, unlane = (1 << W) - 1, lay.unlane
+    columns = [0] * len(rows[0])
+    for row in rows:
+        columns = [v << W | lanes[x] for v, x in zip(columns, row)]
+    at = [0] * ((len(columns) + 1) * W)       # mask bit length -> column
+    at[W::W] = columns
+    zero_lanes = walk.high
+
+    def unpack(v):
+        return [unlane[v >> (k - 1 - i) * W & lane] for i in range(k)]
+
+    if q == 2:                # a basis vector is its own table of multiples
+        def short(mask):
+            zeros = zero_lanes ^ mask
+            basis = [0] * (k + 1)
+            rank = 0
+            while zeros:
+                bit = zeros & -zeros
+                zeros ^= bit
+                v = at[bit.bit_length()]
+                while v:
+                    top = v.bit_length()
+                    b = basis[top]
+                    if not b:
+                        basis[top] = v
+                        rank += 1
+                        if rank == target:
+                            return None
+                        break
+                    v ^= b
+            return [unpack(b) for b in basis if b]
+        return short
+
+    p, w, low, high, guard, bump = (field.p, lay.w, lay.low, lay.high,
+                                    lay.guard, lay.bump)
+    odd = p > 2
+    raw, shared = set(columns), {}       # unreduced column -> its table
+    cancel = {}                          # pivot -> [(lane of x, -x / pivot)]
+
+    def table(b, top):
+        """Lane value x -> -(x / pivot) * b, packed."""
+        pivot = unlane[b >> top - W & lane]
+        pairs = cancel.get(pivot)
+        if pairs is None:
+            pairs = cancel[pivot] = [
+                (lanes[x], field.neg(field.div(x, pivot))) for x in range(1, q)]
+        m = lay.multiples(b)
+        return {x: m[c] for x, c in pairs}
+
+    def short(mask):
+        zeros = zero_lanes ^ mask
+        basis, tables = {}, {}
+        rank = 0
+        while zeros:
+            bit = zeros & -zeros
+            zeros ^= bit
+            v = at[bit.bit_length()]
+            while v:
+                top = ((v + low) & high).bit_length()
+                b = basis.get(top)
+                if b is None:
+                    basis[top] = v
+                    rank += 1
+                    if rank == target:
+                        return None
+                    break
+                t = tables.get(top)
+                if t is None:
+                    t = shared.get(b)
+                    if t is None:
+                        t = table(b, top)
+                        if b in raw:
+                            shared[b] = t
+                    tables[top] = t
+                if odd:
+                    v += t[v >> top - W & lane]
+                    v -= (((v + bump) & guard) >> w - 1) * p
+                else:
+                    v ^= t[v >> top - W & lane]
+        return [unpack(b) for b in basis.values()]
+    return short

@@ -43,12 +43,13 @@ class CodeReport:
 
 
 def code_report(code: LinearCode, best_known=None) -> CodeReport:
-    wd = code.weight_distribution()
-    d, delta = wd.min_weight, wd.max_weight
+    # first: when the code is minimal, its walk also gives the distribution
     try:
         minimal, witness = code.is_minimal_exact()
     except CapExceeded:
         minimal, witness = SKIPPED, None
+    wd = code.weight_distribution()
+    d, delta = wd.min_weight, wd.max_weight
     opt = classify_optimality(code.n, code.k, code.field.q, d, table=best_known)
     return CodeReport(
         n=code.n, k=code.k, q=code.field.q,

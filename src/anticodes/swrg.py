@@ -3,18 +3,23 @@
 The graph is realized as the Cayley graph on the k-dimensional binary
 message space with the generator columns as connection set; for projective
 codes this is isomorphic to the coset graph of the dual code, without
-materializing 2^n cosets. All walk counting is exact integer arithmetic.
+materializing 2^n cosets. Walk counts come from its characters: the
+Walsh-Hadamard transform of the connection set's indicator gives every
+eigenvalue, and the inverse transform of their l-th powers gives the
+number of length-l walks from 0 to every vertex, in O(k 2^k) exact
+integer operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add, sub
 
 from .linear import CapExceeded, CodeError, LinearCode, WeightDistribution
 
-VERTEX_CAP = 1 << 12
-WALK_CAP_L3 = 1 << 10
-WALK_CAP_HIGHER = 1 << 8
+VERTEX_CAP = 1 << 16
+# bits of the walk-count transform: 2^k entries of about l * log2(n) bits
+WALK_CAP = 1 << 24
 
 
 class CosetGraph:
@@ -37,15 +42,6 @@ class CosetGraph:
         if len(set(self.connection_set)) != code.n or 0 in self.connection_set:
             raise CodeError("connection set is not n distinct nonzero vectors")
 
-    def adjacency_row(self, u: int):
-        row = [0] * self.vertex_count
-        for s in self.connection_set:
-            row[u ^ s] = 1
-        return row
-
-    def adjacency_matrix(self):
-        return [self.adjacency_row(u) for u in range(self.vertex_count)]
-
 
 def spectrum_from_wd(wd: WeightDistribution) -> dict:
     """{eigenvalue n - 2w: multiplicity A_w}, including w = 0."""
@@ -64,19 +60,18 @@ def walk_counts(graph: CosetGraph, l: int):
     """
     if l < 3 or l % 2 == 0:
         raise CodeError(f"need odd l >= 3, got {l}")
-    cap = WALK_CAP_L3 if l == 3 else WALK_CAP_HIGHER
-    if graph.vertex_count > cap:
-        raise CapExceeded(f"{graph.vertex_count} vertices over the l={l} cap")
-    # w[v] = number of length-t walks from 0 to v
-    w = [0] * graph.vertex_count
-    w[0] = 1
-    for _ in range(l):
-        nxt = [0] * graph.vertex_count
-        for v, count in enumerate(w):
-            if count:
-                for s in graph.connection_set:
-                    nxt[v ^ s] += count
-        w = nxt
+    size = graph.vertex_count * l * graph.degree.bit_length()
+    if size > WALK_CAP:
+        raise CapExceeded(
+            f"walk-count transform of {size} bits (2^k * l * bits of n) "
+            f"over the cap")
+    spectrum = [0] * graph.vertex_count
+    for s in graph.connection_set:
+        spectrum[s] = 1
+    spectrum = [x ** l for x in _walsh_hadamard(spectrum)]
+    w = _walsh_hadamard(spectrum)           # 2^k times the walk counts
+    assert not any(x & graph.vertex_count - 1 for x in w), "inexact division"
+    w = [x >> graph.k for x in w]
     conn = set(graph.connection_set)
     lam = {w[v] for v in conn}
     mu = {w[v] for v in range(1, graph.vertex_count) if v not in conn}
@@ -89,6 +84,22 @@ def walk_counts(graph: CosetGraph, l: int):
     return (lam.pop(), mu.pop() if mu else 0, nu), None
 
 
+def _walsh_hadamard(values):
+    """sum_x values[x] (-1)^(x.y) for every y, exactly.
+
+    Each pass takes the butterfly over the top index bit and interleaves
+    the halves, which moves that bit to the bottom; k passes treat every bit
+    once and restore the order.
+    """
+    half = len(values) // 2
+    out = list(values)
+    for _ in range(half.bit_length()):
+        low, high = out[:half], out[half:]
+        out[::2] = map(add, low, high)
+        out[1::2] = map(sub, low, high)
+    return out
+
+
 @dataclass
 class SwrgCertificate:
     l: int
@@ -98,7 +109,7 @@ class SwrgCertificate:
     spectrum: dict
     conditions_weight_sum: bool   # w1 + w2 + w3 = 3n/2
     conditions_middle: bool       # w2 = n/2
-    walk_counts: tuple | None     # (lambda_l, mu_l, nu_l) brute force
+    walk_counts: tuple | None     # (lambda_l, mu_l, nu_l) by transform
     analytic_l3: tuple | None     # closed form, l = 3 only
     root_equation_holds: bool | None
     verdict: str                  # is_l_swrg | not_l_swrg | conditions_unmet

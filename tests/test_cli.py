@@ -9,7 +9,7 @@ import pytest
 
 from anticodes import codefile
 from anticodes import constructions as cons
-from anticodes.cli import main
+from anticodes.cli import build_parser, main
 
 
 def run(argv):
@@ -64,6 +64,32 @@ def test_analyze_formats(tmp_path, code_file, capsys):
         assert run(["analyze", str(code_file), "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert "griesmer" in out
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, code_file, capsys):
+    assert build_parser() is build_parser()      # built once per process
+    text = tmp_path / "report.txt"
+    assert run(["analyze", str(code_file), "--format", "text",
+                "--out", str(text)]) == 0
+    assert run(["analyze", str(code_file)]) == 0
+    report = json.loads(capsys.readouterr().out)  # default format, to stdout
+    assert report["distribution"] == {"0": 1, "4": 7}
+    assert text.read_text().split()[:2] == ["n", "7"]   # the text table
+
+    comp = tmp_path / "c56.json"
+    codefile.save_code(cons.complement(cons.dual_bch_code(3), K=6), comp)
+    assert run(["swrg-verify", str(comp), "--l", "5"]) == 0
+    assert run(["swrg-verify", str(comp)]) == 0
+    first, second = capsys.readouterr().out.split("\n}\n", 1)
+    assert json.loads(first + "}")["l"] == 5
+    assert json.loads(second)["l"] == 3
+
+
+def test_swrg_verify_huge_l_hits_the_cap(tmp_path, capsys):
+    comp = tmp_path / "c56.json"
+    codefile.save_code(cons.complement(cons.dual_bch_code(3), K=6), comp)
+    assert run(["swrg-verify", str(comp), "--l", str(10 ** 9 + 1)]) == 3
+    assert "over the cap" in capsys.readouterr().err
 
 
 def test_analyze_missing_file(tmp_path):

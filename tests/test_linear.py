@@ -16,7 +16,8 @@ from anticodes.linear import (
     CapExceeded, CodeError, LinearCode, WeightDistribution,
 )
 from anticodes.constructions import (
-    fixed_weight_anticode, prime_power, rs_code, simplex,
+    complement, complementary_mds_trivial, complementary_rs,
+    fixed_weight_anticode, kasami_code, prime_power, rs_code, simplex,
 )
 
 F2 = field_make(2, 1)
@@ -201,11 +202,18 @@ def test_class_walk_against_oracle(code):
     # class i's codeword has the i-th mask's weight, and the q - 1 multiples
     # of the class codewords are the nonzero codewords, each once
     masks = list(linear._classes(F, code.generator.rows))
-    reps = [code._class_codeword(i) for i in range(len(masks))]
+    reps = [code._codeword(linear._class_message(F, code.k, i))
+            for i in range(len(masks))]
     assert [m.bit_count() for m in masks] == [len(support(r)) for r in reps]
     multiples = [tuple(F.mul(c, x) for x in r) for r in reps for c in range(1, q)]
     assert sorted(multiples) == sorted(w for w in words if any(w))
 
+    check_minimality(code, words)
+
+
+def check_minimality(code, words):
+    """The verdict agrees with the literal pairwise check, and a witness is
+    two non-proportional codewords with nested supports."""
     ok, witness = code.is_minimal_exact()
     assert ok == pairwise_minimal(code, words)
     if ok:
@@ -214,4 +222,32 @@ def test_class_walk_against_oracle(code):
         covered, covering = witness
         assert covered in words and covering in words
         assert support(covered) <= support(covering)
-        assert any(covered) and not proportional(F, covered, covering)
+        assert any(covered) and not proportional(code.field, covered, covering)
+
+
+# the builders' own sorted column order, where the first columns of a
+# hyperplane lie in a small subspace
+@pytest.mark.parametrize("code", [
+    complementary_mds_trivial(3, 3, 0), complementary_rs(4, 3, 0),
+    complement(simplex(2, 3), K=4), complement(simplex(3, 2), K=3),
+    complement(simplex(2, 2), K=4), complement(simplex(4, 2), K=3),
+    simplex(2, 5), rs_code(5, 3), fixed_weight_anticode(7, 3),
+], ids=lambda code: code.label)
+def test_minimality_in_natural_column_order(code):
+    check_minimality(code, span(code))
+
+
+def test_kasami_4_is_minimal():
+    code = kasami_code(4)
+    assert (code.n, code.k) == (255, 12)
+    assert code.is_minimal_exact() == (True, None)
+    # the walk that found it minimal also counted the weights
+    assert code._wd == kasami_code(4).weight_distribution()
+
+
+def test_minimality_stores_no_distribution_over_the_enum_cap(monkeypatch):
+    code = simplex(2, 4)
+    monkeypatch.setattr(linear, "ENUM_CAP", 8)
+    assert code.is_minimal_exact() == (True, None)
+    with pytest.raises(CapExceeded):
+        code.weight_distribution()

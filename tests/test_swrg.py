@@ -1,14 +1,52 @@
-"""Coset graphs, spectra, and strong-walk-regularity certificates."""
+"""Coset graphs, spectra, and strong-walk-regularity certificates.
+
+The transform walk counts are checked against ``bfs_walk_counts``, an
+l-step walk over every vertex kept here as the oracle.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anticodes import constructions as cons
+from anticodes import swrg
 from anticodes.gf import field_make
 from anticodes.linear import CapExceeded, CodeError, LinearCode
 from anticodes.swrg import (
     CosetGraph, analytic_parameters_l3, spectrum_from_wd, verify_swrg,
     walk_counts,
 )
+
+F2 = field_make(2, 1)
+
+
+def adjacency_row(graph, u):
+    row = [0] * graph.vertex_count
+    for s in graph.connection_set:
+        row[u ^ s] = 1
+    return row
+
+
+def bfs_walk_counts(graph, l):
+    """walk_counts by l steps from vertex 0 along every edge."""
+    w = [0] * graph.vertex_count
+    w[0] = 1
+    for _ in range(l):
+        nxt = [0] * graph.vertex_count
+        for v, count in enumerate(w):
+            if count:
+                for s in graph.connection_set:
+                    nxt[v ^ s] += count
+        w = nxt
+    conn = set(graph.connection_set)
+    lam = {w[v] for v in conn}
+    mu = {w[v] for v in range(1, graph.vertex_count) if v not in conn}
+    if len(lam) > 1 or len(mu) > 1:
+        bad = lam if len(lam) > 1 else mu
+        pool = conn if len(lam) > 1 else set(range(1, graph.vertex_count)) - conn
+        picks = sorted(v for v in pool if w[v] in bad)[:2]
+        return None, (picks[0], picks[1])
+    return (lam.pop(), mu.pop() if mu else 0, w[0]), None
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +59,7 @@ def test_coset_graph_basics(code_56):
     assert g.vertex_count == 64
     assert g.degree == 56
     assert len(g.connection_set) == 56
-    row = g.adjacency_row(0)
+    row = adjacency_row(g, 0)
     assert sum(row) == 56 and row[0] == 0
 
 
@@ -106,3 +144,36 @@ def test_vertex_cap(monkeypatch):
     monkeypatch.setattr(swrg, "VERTEX_CAP", 8)
     with pytest.raises(CapExceeded):
         CosetGraph(cons.complement(cons.dual_bch_code(3), K=6))
+
+
+def test_walk_cap_counts_transform_bits(code_56, monkeypatch):
+    g = CosetGraph(code_56)
+    size = 64 * 3 * (56).bit_length()       # 2^k * l * bits of n
+    monkeypatch.setattr(swrg, "WALK_CAP", size)
+    assert walk_counts(g, 3) == ((2746, 2730, 2730), None)
+    monkeypatch.setattr(swrg, "WALK_CAP", size - 1)
+    with pytest.raises(CapExceeded):
+        walk_counts(g, 3)
+
+
+def test_huge_l_refused_before_any_work(code_56):
+    with pytest.raises(CapExceeded):
+        walk_counts(CosetGraph(code_56), 10 ** 9 + 1)
+
+
+@st.composite
+def projective_binary_codes(draw):
+    k = draw(st.integers(2, 7))
+    units = [1 << i for i in range(k)]
+    others = draw(st.lists(st.integers(1, (1 << k) - 1), unique=True,
+                           max_size=min(30, (1 << k) - 1 - k)))
+    columns = units + [c for c in others if c not in units]
+    rows = [[c >> i & 1 for c in columns] for i in range(k)]
+    return LinearCode.from_generator(F2, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_binary_codes(), st.sampled_from([3, 5, 7, 9]))
+def test_transform_walks_match_bfs(code, l):
+    g = CosetGraph(code)
+    assert walk_counts(g, l) == bfs_walk_counts(g, l)
