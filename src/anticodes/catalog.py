@@ -15,9 +15,9 @@ Entries flagged ``known_discrepancy`` are reported but never fail a run.
 
 from __future__ import annotations
 
+import inspect
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 from . import constructions as cons
@@ -84,24 +84,19 @@ FAMILIES = {
 }
 
 
-def build_code(build: dict) -> LinearCode:
-    """Construct the code described by a manifest build entry."""
+def base_code(build: dict) -> LinearCode:
+    """The pre-complement code of a build description."""
     family = build["family"]
     if family not in FAMILIES:
         raise ManifestError(f"unknown family {family!r}")
-    code = FAMILIES[family](**build.get("params", {}))
+    return FAMILIES[family](**build.get("params", {}))
+
+
+def build_code(build: dict) -> LinearCode:
+    """Construct the code described by a manifest build entry."""
+    code = base_code(build)
     K = build.get("complement_at")
-    if K is not None:
-        code = cons.complement(code, K=K)
-    return code
-
-
-def base_code(build: dict) -> LinearCode:
-    """The pre-complement code of a build description (unchanged when it
-    has no complement step)."""
-    spec = dict(build)
-    spec.pop("complement_at", None)
-    return build_code(spec)
+    return code if K is None else cons.complement(code, K=K)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +121,9 @@ def verify_entry(entry: CatalogEntry) -> EntryResult:
                          note=entry.note)
     exp = entry.expect
     if entry.mode == "construct_and_enumerate":
-        code = build_code(entry.build)
+        base = base_code(entry.build)
+        K = entry.build.get("complement_at")
+        code = base if K is None else cons.complement(base, K=K)
         wd = code.weight_distribution()
         _compare(result, "q", code.field.q, exp.get("q"))
         _compare(result, "n", code.n, exp.get("n"))
@@ -141,10 +138,8 @@ def verify_entry(entry: CatalogEntry) -> EntryResult:
                                         wd.max_weight, code.n)
             _compare(result, "antigriesmer_defect", defect,
                      exp["antigriesmer_defect"])
-        K = entry.build.get("complement_at")
         if K is not None:
-            base_wd = base_code(entry.build).weight_distribution()
-            predicted = cons.transform_wd(base_wd, K)
+            predicted = cons.transform_wd(base.weight_distribution(), K)
             _compare(result, "transform-vs-enumeration",
                      dict(wd.counts), dict(predicted.counts))
     elif entry.mode == "transform_only":
@@ -163,6 +158,44 @@ def verify_entry(entry: CatalogEntry) -> EntryResult:
     return result
 
 
+_KEYS = {f.name for f in fields(CatalogEntry)}
+_REQUIRED = {f.name for f in fields(CatalogEntry) if f.default is MISSING}
+_BUILD_KEYS = {"family", "params", "complement_at"}
+_MODES = ("construct_and_enumerate", "transform_only")
+
+
+def _entry(item) -> CatalogEntry:
+    """One manifest row, checked: its keys, its mode, and for a built row
+    that its family takes the params given."""
+    if not isinstance(item, dict):
+        raise ManifestError(f"manifest entry {item!r} is not an object")
+    where = f"manifest entry {item.get('id')!r}"
+    unknown, missing = sorted(set(item) - _KEYS), sorted(_REQUIRED - set(item))
+    if unknown:
+        raise ManifestError(f"{where}: unknown keys {unknown}")
+    if missing:
+        raise ManifestError(f"{where}: missing keys {missing}")
+    entry = CatalogEntry(**item)
+    if entry.mode not in _MODES:
+        raise ManifestError(f"{where}: unknown mode {entry.mode!r}")
+    if entry.mode == "construct_and_enumerate":
+        build = entry.build if isinstance(entry.build, dict) else {}
+        family, params = build.get("family"), build.get("params", {})
+        if set(build) - _BUILD_KEYS:
+            raise ManifestError(
+                f"{where}: unknown build keys {sorted(set(build) - _BUILD_KEYS)}")
+        if family not in FAMILIES:
+            raise ManifestError(f"{where}: unknown family {family!r}")
+        if not isinstance(params, dict):
+            raise ManifestError(f"{where}: params must be an object")
+        try:
+            inspect.signature(FAMILIES[family]).bind(**params)
+        except TypeError as exc:
+            raise ManifestError(
+                f"{where}: bad params for {family}: {exc}") from None
+    return entry
+
+
 def load_manifest(path=None) -> list:
     """Entries of the bundled manifest, or of an explicit JSON file."""
     if path is None:
@@ -175,10 +208,12 @@ def load_manifest(path=None) -> list:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
+        raise ManifestError("manifest needs a list of 'entries'")
     entries = []
     seen = set()
     for item in raw["entries"]:
-        entry = CatalogEntry(**item)
+        entry = _entry(item)
         if entry.id in seen:
             raise ManifestError(f"duplicate entry id {entry.id!r}")
         seen.add(entry.id)
@@ -187,11 +222,14 @@ def load_manifest(path=None) -> list:
 
 
 def verify_catalog(entries=None, jobs: int = 4):
-    """(results, summary); summary['failed'] counts only unflagged rows."""
+    """(results, summary); summary['failed'] counts only unflagged rows.
+
+    The rows run one after another. ``jobs`` is accepted and unused: the
+    work is pure Python and holds the GIL, so threads only add overhead.
+    """
     if entries is None:
         entries = load_manifest()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(verify_entry, entries))
+    results = [verify_entry(entry) for entry in entries]
     failed = [r for r in results if not r.ok and not r.known_discrepancy]
     flagged = [r for r in results if not r.ok and r.known_discrepancy]
     summary = {

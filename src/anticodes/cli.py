@@ -252,7 +252,8 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=["verify"])
     p.add_argument("--manifest", default=None,
                    help="alternate manifest JSON (default: bundled)")
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=int, default=4,
+                   help="accepted and unused: the rows run one after another")
     p.add_argument("--format", choices=["json", "csv", "text"],
                    default="text")
     p.add_argument("--out", default=None)

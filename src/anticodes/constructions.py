@@ -12,7 +12,7 @@ construction is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .gf import GF, FieldError, field_make, project_to_subfield, relative_trace
 from .linear import (CodeError, LinearCode, WeightDistribution,
@@ -40,28 +40,16 @@ def field_of_order(q: int) -> GF:
     return field_make(*prime_power(q))
 
 
-def _point_key(field: GF, pt) -> int:
-    key = 0
-    for x in pt:
-        key = key * field.q + x
-    return key
-
-
 def projective_points(field: GF, k: int):
     """All canonical projective points of F_q^k (first nonzero coord = 1),
-    sorted by integer encoding, most-significant coordinate first."""
-    q = field.q
+    sorted by integer encoding, most-significant coordinate first: the
+    later the leading 1, the smaller the point, and the coordinates after
+    it count up in base q."""
     pts = []
-    for lead in range(k):
-        tail = k - lead - 1
-        for code in range(q ** tail):
-            digs = []
-            c = code
-            for _ in range(tail):
-                digs.append(c % q)
-                c //= q
-            pts.append(tuple([0] * lead + [1] + list(reversed(digs))))
-    pts.sort(key=lambda p: _point_key(field, p))
+    for lead in range(k - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        tails = product(range(field.q), repeat=k - lead - 1)
+        pts.extend(map(head.__add__, tails))
     return pts
 
 

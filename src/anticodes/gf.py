@@ -9,6 +9,7 @@ from the constant term upward, so field construction is deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 SIZE_CAP = 1 << 16
@@ -309,61 +310,293 @@ def relative_trace(x: int, amb: GF, sub: GF) -> int:
 
 
 # ----------------------------------------------------------------------
+# packed vectors
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _lane_tables(field: GF):
+    """(w, W, lanes, unlane, bits, unbits) of the lane layout of a field:
+    lanes[a] is the lane value of element a, unlane its inverse, bits[a]
+    the lane as a W-bit string and unbits the inverse of the reversed
+    strings (low bit first)."""
+    p, e = field.p, field.e
+    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    W = e * w + (p == 2 and e > 1)
+    if p == 2 or e == 1:                 # a lane holds the element code
+        lanes = unlane = range(p ** e)
+    else:
+        lanes = [0]
+        for d in range(e):
+            lanes = [x | c << d * w for c in range(p) for x in lanes]
+        unlane = {x: a for a, x in enumerate(lanes)}
+    bits = [format(x, f"0{W}b") for x in lanes]
+    unbits = {b[::-1]: a for a, b in enumerate(bits)}
+    return w, W, lanes, unlane, bits, unbits
+
+
+class _Packing:
+    """The lane layout of packed vectors of one length over GF(p^e).
+
+    A vector is one int with a lane of W bits per coordinate, coordinate 0
+    in the lowest lane; digit d of coordinate i sits at bit i*W + d*w. For
+    p = 2 digits add by XOR (w = 1). For odd p a w-bit digit holds sums up
+    to 2p - 2 below its guard bit, and a sum is reduced by subtracting p
+    where it reaches p: s - (((s + bump) & guard) >> w - 1) * p. A lane's
+    top bit stays 0 (for p = 2, e > 1 it is one extra bit), so
+    (v + low) & high has one bit, the lane's top bit, for each nonzero
+    coordinate; for GF(2) a vector is its own mask.
+
+    Scalar multiples are whole-vector operations too: x * v shifts every
+    lane up one digit and folds the top digit back through the modulus,
+    and a * v sums c * x^d * v over the base-p digits c of a.
+    """
+
+    def __init__(self, field: GF, length: int):
+        p, e = field.p, field.e
+        w, W, self.lanes, self.unlane, self._bits, self._unbits = \
+            _lane_tables(field)
+        every = ((1 << length * W) - 1) // ((1 << W) - 1)   # bit 0 of every lane
+        digit = ((1 << length * e * w) - 1) // ((1 << w) - 1)  # of every digit
+        self.field, self.length, self.p, self.w, self.W = field, length, p, w, W
+        self.low, self.high = ((1 << W - 1) - 1) * every, (1 << W - 1) * every
+        self.guard, self.bump = (1 << w - 1) * digit, ((1 << w - 1) - p) * digit
+        self.digit0 = ((1 << w) - 1) * every             # digit 0 of every lane
+        # x^e modulo the modulus: for p = 2 as lane bits, for odd p as
+        # (bit offset of digit d, its coefficient)
+        self.wrap = sum(c << d for d, c in enumerate(field.modulus[:e]))
+        self.fold = [(d * w, -c % p) for d, c in enumerate(field.modulus[:e])
+                     if c]
+
+    def pack(self, vec) -> int:
+        return int("".join(map(self._bits.__getitem__, reversed(vec))) or "0", 2)
+
+    def unpack(self, v: int):
+        """The tuple of element codes that ``pack`` maps to v."""
+        n, W = self.length, self.W
+        if not n:
+            return ()
+        s = format(v, f"0{n * W}b")[::-1]
+        if W > 1:
+            s = [s[i:i + W] for i in range(0, n * W, W)]
+        return tuple(map(self._unbits.__getitem__, s))
+
+    def add(self, u: int, v: int) -> int:
+        if self.p == 2:
+            return u ^ v
+        s = u + v
+        return s - (((s + self.bump) & self.guard) >> self.w - 1) * self.p
+
+    def _times(self, v: int, c: int) -> int:
+        """c * v for an integer 0 <= c < p, by doubling and adding."""
+        acc = 0
+        while c:
+            if c & 1:
+                acc = self.add(acc, v)
+            c >>= 1
+            if c:
+                v = self.add(v, v)
+        return acc
+
+    def _times_x(self, v: int) -> int:
+        """x * v (e > 1): every lane moves up one digit, and its top digit
+        t comes back as t * x^e."""
+        e, w = self.field.e, self.w
+        if self.p == 2:
+            top = self.high >> 1                         # digit e - 1 of a lane
+            carry = (v & top) >> e - 1                   # bit 0 of lanes that wrap
+            return (v ^ v & top) << 1 ^ carry * self.wrap
+        t = v >> (e - 1) * w & self.digit0
+        v = (v - (t << (e - 1) * w)) << w
+        for shift, c in self.fold:
+            v = self.add(v, self._times(t, c) << shift)
+        return v
+
+    def powers(self, v: int):
+        """[x^d * v for d < e], the terms that ``scale`` sums."""
+        out = [v]
+        for _ in range(self.field.e - 1):
+            out.append(self._times_x(out[-1]))
+        return out
+
+    def scale(self, powers, a: int) -> int:
+        """a * v, packed, from ``powers(v)``."""
+        acc, p = 0, self.p
+        for u in powers:
+            if a % p:
+                acc = self.add(acc, self._times(u, a % p))
+            a //= p
+        return acc
+
+    def multiples(self, v: int):
+        """[a * v for every element code a], packed: entry a adds x^d * v
+        to entry a - p^d, for the lowest nonzero base-p digit d of a."""
+        p, pw, m = self.p, self.powers(v), [0]
+        for a in range(1, self.field.q):
+            d, pd = 0, 1
+            while a // pd % p == 0:
+                d, pd = d + 1, pd * p
+            m.append(self.add(m[a - pd], pw[d]))
+        return m
+
+
+# ----------------------------------------------------------------------
 # linear algebra over GF
 # ----------------------------------------------------------------------
 
+def _check_row(field: GF, row):
+    """``field.check`` on every entry of a row, at C speed; on a row that
+    fails, ``field.check`` itself raises the FieldError."""
+    if row and not (all(issubclass(t, int) for t in set(map(type, row)))
+                    and min(row) >= 0 and max(row) < field.q):
+        for x in row:
+            field.check(x)
+
+
+class _Rows(Sequence):
+    """A matrix's rows as tuples of element codes, unpacked on first use."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __len__(self):
+        return self.matrix.nrows
+
+    def __getitem__(self, i):
+        return self.matrix._unpacked()[i]
+
+    def __iter__(self):
+        return iter(self.matrix._unpacked())
+
+    def __eq__(self, other):
+        if isinstance(other, (_Rows, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 class Matrix:
-    """Dense row-major matrix over a GF; rows are tuples of element codes."""
+    """Dense matrix over a GF.
+
+    Each row is held packed, one int in the lane layout of ``layout`` (a
+    ``_Packing``); ``rows`` shows them as tuples of element codes. The
+    rows of another matrix over the same field are taken over packed,
+    unchecked; any other rows are checked against the field.
+    """
 
     def __init__(self, field: GF, rows):
         self.field = field
-        self.rows = [tuple(field.check(x) for x in r) for r in rows]
-        if self.rows:
-            n = len(self.rows[0])
-            if any(len(r) != n for r in self.rows):
-                raise ValueError("ragged matrix")
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        if isinstance(rows, _Rows) and rows.matrix.field == field:
+            src = rows.matrix
+            self._set(src.layout, src.packed, src._tuples, src._echelon)
+            return
+        rows = [tuple(r) for r in rows]
+        for r in rows:
+            _check_row(field, r)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix")
+        layout = _Packing(field, ncols)
+        self._set(layout, tuple(map(layout.pack, rows)), tuple(rows), None)
+
+    def _set(self, layout, packed, tuples, echelon):
+        self.layout, self.packed = layout, packed
+        self.nrows, self.ncols = len(packed), layout.length
+        self._tuples, self._echelon = tuples, echelon
+
+    @classmethod
+    def _of_packed(cls, field: GF, layout, packed, echelon=None):
+        m = cls.__new__(cls)
+        m.field = field
+        m._set(layout, packed, None, echelon)
+        return m
+
+    @property
+    def rows(self):
+        """The rows as a sequence of tuples of element codes."""
+        return _Rows(self)
+
+    def _unpacked(self):
+        if self._tuples is None:
+            self._tuples = tuple(map(self.layout.unpack, self.packed))
+        return self._tuples
 
     def columns(self):
-        return [tuple(r[j] for r in self.rows) for j in range(self.ncols)]
+        if not self.nrows:
+            return [()] * self.ncols
+        return list(zip(*self._unpacked()))
+
+    def _eliminate(self):
+        """(packed rows of the RREF, their pivot columns), computed once.
+
+        Each row is reduced against the rows kept so far, which are keyed
+        by the top bit of their pivot, their lowest nonzero lane; a row
+        left with a new pivot is scaled to make it 1 and kept. Back
+        substitution, highest pivot first, then clears each pivot column
+        in the rows of lower pivots. The RREF of a row space is unique, so
+        this is the schoolbook elimination's result.
+        """
+        if self._echelon is None:
+            F, lay = self.field, self.layout
+            W, low, high, unlane = lay.W, lay.low, lay.high, lay.unlane
+            lane = (1 << W) - 1
+
+            def minus(v, b, c):                      # v - c * b
+                if F.q == 2:
+                    return v ^ b
+                return lay.add(v, lay.scale(lay.powers(b), F.neg(c)))
+
+            kept = {}
+            for v in self.packed:
+                while v:
+                    mask = (v + low) & high
+                    top = (mask & -mask).bit_length()
+                    c = unlane[v >> top - W & lane]
+                    b = kept.get(top)
+                    if b is None:
+                        kept[top] = v if c == 1 else \
+                            lay.scale(lay.powers(v), F.inv(c))
+                        break
+                    v = minus(v, b, c)
+            tops = sorted(kept)
+            for i in range(len(tops) - 1, 0, -1):
+                b, top = kept[tops[i]], tops[i]
+                for t in tops[:i]:
+                    c = unlane[kept[t] >> top - W & lane]
+                    if c:
+                        kept[t] = minus(kept[t], b, c)
+            self._echelon = (tuple(kept[t] for t in tops),
+                             tuple(t // W - 1 for t in tops))
+        return self._echelon
 
     def rref(self):
         """(reduced rows, pivot column list); reduced rows exclude zero rows."""
-        F = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return [tuple(rows[i]) for i in range(r)], pivots
+        packed, pivots = self._eliminate()
+        reduced = Matrix._of_packed(self.field, self.layout, packed,
+                                    (packed, pivots))
+        return reduced.rows, list(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[0])
+        return len(self._eliminate()[0])
 
     def kernel(self):
         """Basis matrix of the right null space; rank + nullity = ncols."""
-        F = self.field
-        reduced, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
+        F, lay = self.field, self.layout
+        packed, pivots = self._eliminate()
+        W, lanes, unlane = lay.W, lay.lanes, lay.unlane
+        lane = (1 << W) - 1
         basis = []
-        for fc in free:
-            v = [0] * self.ncols
-            v[fc] = 1
-            for ri, pc in enumerate(pivots):
-                v[pc] = F.neg(reduced[ri][fc])
-            basis.append(tuple(v))
-        return Matrix(F, basis) if basis else Matrix(F, [])
+        for fc in sorted(set(range(self.ncols)).difference(pivots)):
+            v = lanes[1] << fc * W
+            for row, pc in zip(packed, pivots):
+                c = unlane[row >> fc * W & lane]
+                if c:
+                    v |= lanes[F.neg(c)] << pc * W
+            basis.append(v)
+        return Matrix._of_packed(F, lay, tuple(basis)) if basis \
+            else Matrix(F, [])

@@ -15,7 +15,7 @@ import os
 import random
 from collections import Counter
 
-from .gf import GF, Matrix
+from .gf import GF, Matrix, _Packing
 
 ENUM_CAP = int(os.environ.get("ANTICODES_ENUM_CAP", 1 << 24))
 MINIMAL_CAP = int(os.environ.get("ANTICODES_MINIMAL_CAP", 1 << 20))
@@ -104,12 +104,12 @@ class LinearCode:
     def from_columns(cls, field: GF, columns, label: str = "") -> "LinearCode":
         """Code spanned by the rows of the matrix with the given columns.
 
-        The matrix may be rank-deficient; a row basis becomes the generator
-        and the full column list is kept for the complement construction.
+        The matrix may be rank-deficient; its RREF rows become the
+        generator, taken over packed and with their rank known, and the
+        full column list is kept for the complement construction.
         """
         ambient = len(columns[0])
-        m = Matrix(field, [[col[i] for col in columns] for i in range(ambient)])
-        basis, _ = m.rref()
+        basis, _ = Matrix(field, list(zip(*columns))).rref()
         return cls(field, Matrix(field, basis), label=label,
                    column_points=(ambient, [tuple(c) for c in columns]))
 
@@ -247,81 +247,20 @@ def canonical_point(field: GF, vec):
 # (s_j - s_(j+1)) mod p, where s_j is the j-th base-p digit of s.
 # ----------------------------------------------------------------------
 
-class _Packing:
-    """The lane layout of packed vectors of one length over GF(p^e).
-
-    A vector is one int with a lane of W bits per coordinate; digit d of
-    coordinate i sits at bit i*W + d*w. For p = 2 digits add by XOR
-    (w = 1). For odd p a w-bit digit holds sums up to 2p - 2 below its
-    guard bit, and a sum is reduced by subtracting p where it reaches p:
-    s - (((s + bump) & guard) >> w - 1) * p. A lane's top bit stays 0 (for
-    p = 2, e > 1 it is one extra bit), so (v + low) & high has one bit, the
-    lane's top bit, for each nonzero coordinate; for GF(2) a vector is its
-    own mask.
-    """
-
-    def __init__(self, field: GF, length: int):
-        p, e = field.p, field.e
-        w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
-        W = e * w + (p == 2 and e > 1)
-        every = ((1 << length * W) - 1) // ((1 << W) - 1)   # bit 0 of every lane
-        digit = ((1 << length * e * w) - 1) // ((1 << w) - 1)  # of every digit
-        self.field, self.w, self.W = field, w, W
-        self.low, self.high = ((1 << W - 1) - 1) * every, (1 << W - 1) * every
-        self.guard, self.bump = (1 << w - 1) * digit, ((1 << w - 1) - p) * digit
-        self.lanes = [0]                                 # lanes[a]: a's digits
-        for d in range(e):
-            self.lanes = [x | c << d * w for c in range(p) for x in self.lanes]
-        self.unlane = {x: a for a, x in enumerate(self.lanes)}
-        # p = 2: x^e is this element modulo the modulus
-        self.wrap = sum(c << d for d, c in enumerate(field.modulus[:e]))
-
-    def pack(self, vec):
-        """Coordinate 0 in the lowest lane."""
-        v = 0
-        for x in reversed(vec):
-            v = v << self.W | self.lanes[x]
-        return v
-
-    def multiples(self, v: int):
-        """[a * v for every element code a], packed."""
-        F, W = self.field, self.W
-        p, e = F.p, F.e
-        if e == 1:                                   # v + v + ... + v
-            m = [0, v]
-            for _ in range(p - 2):
-                s = m[-1] + v
-                m.append(s - (((s + self.bump) & self.guard) >> self.w - 1) * p)
-            return m
-        if p == 2:              # x^d * v: shift every lane, fold back x^e
-            top = self.high >> 1                     # digit e - 1 of a lane
-            powers = [v]
-            for _ in range(e - 1):
-                u = powers[-1]
-                carry = (u & top) >> e - 1           # bit 0 of lanes that wrap
-                powers.append((u ^ u & top) << 1 ^ carry * self.wrap)
-            m = [0]
-            for a in range(1, F.q):
-                m.append(m[a & (a - 1)] ^ powers[(a & -a).bit_length() - 1])
-            return m
-        length = (v.bit_length() + W - 1) // W
-        elems = [self.unlane[v >> i * W & (1 << W) - 1] for i in range(length)]
-        return [self.pack([F.mul(a, y) for y in elems]) for a in range(F.q)]
-
-
 def _classes(field: GF, rows):
     """Yield one support mask per projective class of nonzero messages.
 
+    ``rows`` are the generator's rows; a matrix's rows are read packed.
     Codewords are packed as ``_Packing`` lays them out, and a mask is
     (cw + low) & high. Its bits sit at lane positions, not coordinate
     positions, but its bit_count is the weight and supports nest exactly
     when masks do.
     """
     p, e = field.p, field.e
-    lay = _Packing(field, len(rows[0]))
+    generator = Matrix(field, rows)
+    lay = generator.layout
     w, low, high, guard, bump = lay.w, lay.low, lay.high, lay.guard, lay.bump
-    scaled = [[lay.pack([field.mul(p ** d, x) for x in row]) for d in range(e)]
-              for row in rows]
+    scaled = [lay.powers(v) for v in generator.packed]    # beta_d * row
     plain = p == 2 and e == 1
     for lead, multiples in enumerate(scaled):
         cw = multiples[0]                                 # beta_0 = 1

@@ -38,6 +38,44 @@ def test_invalid_json_rejected(tmp_path):
         cat.load_manifest(path)
 
 
+SIMPLEX_ROW = {"id": "s", "mode": "construct_and_enumerate",
+               "expect": {"q": 2, "n": 7, "k": 3},
+               "build": {"family": "simplex", "params": {"q": 2, "k": 3}}}
+
+# one manifest row per load-time defect: each is a ManifestError, raised
+# when the manifest is read, before any row runs
+BAD_ROWS = {
+    "unknown-key": {**SIMPLEX_ROW, "id": "bad", "colour": "red"},
+    "missing-key": {"id": "bad", "mode": "construct_and_enumerate",
+                    "build": SIMPLEX_ROW["build"]},
+    "extra-param": {**SIMPLEX_ROW, "id": "bad", "build": {
+        "family": "simplex", "params": {"q": 2, "k": 3, "m": 3}}},
+    "missing-param": {**SIMPLEX_ROW, "id": "bad", "build": {
+        "family": "simplex", "params": {"q": 2}}},
+    "unknown-mode": {**SIMPLEX_ROW, "id": "bad", "mode": "enumerate"},
+    "unknown-build-key": {**SIMPLEX_ROW, "id": "bad", "build": {
+        **SIMPLEX_ROW["build"], "complement": 4}},
+}
+
+
+def write_manifest(tmp_path, *rows):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": list(rows)}))
+    return path
+
+
+def test_good_row_loads(tmp_path):
+    [entry] = cat.load_manifest(write_manifest(tmp_path, SIMPLEX_ROW))
+    assert cat.verify_entry(entry).ok
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_ROWS))
+def test_bad_row_rejected_at_load(tmp_path, defect):
+    path = write_manifest(tmp_path, SIMPLEX_ROW, BAD_ROWS[defect])
+    with pytest.raises(cat.ManifestError):
+        cat.load_manifest(path)
+
+
 def test_build_code_unknown_family():
     with pytest.raises(cat.ManifestError):
         cat.build_code({"family": "nope", "params": {}})

@@ -10,6 +10,7 @@ import pytest
 from anticodes import codefile
 from anticodes import constructions as cons
 from anticodes.cli import build_parser, main
+from test_catalog import BAD_ROWS
 
 
 def run(argv):
@@ -152,6 +153,15 @@ def test_catalog_verify_failing_manifest(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["catalog", "verify", "--manifest", str(path)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_ROWS))
+def test_catalog_bad_manifest_row_exits_2(tmp_path, capsys, defect):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"entries": [BAD_ROWS[defect]]}))
+    assert run(["catalog", "verify", "--manifest", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_enum_cap_env_override_exit_code(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anticodes import catalog as cat
+from anticodes.constructions import field_of_order, projective_points
 from anticodes.gf import (
     GF, FieldError, Matrix, embed, field_make, is_prime, project_to_subfield,
     relative_trace, smallest_irreducible,
@@ -272,3 +274,179 @@ def test_user_modulus_gives_a_field():
     # x^2 + x + 2 is irreducible but not the canonical x^2 + 1 over GF(3)
     field = GF(3, 2, [2, 1, 1])
     _check_against_oracle(field, range(9))
+
+
+# ----------------------------------------------------------------------
+# packed linear algebra against the schoolbook elimination
+# ----------------------------------------------------------------------
+
+def schoolbook_rref(F, rows, ncols):
+    """(reduced rows, pivots) by Gauss-Jordan elimination on element lists,
+    column by column with the first usable row as pivot: the oracle for
+    the packed elimination in ``Matrix``."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(rows[i]) for i in range(r)], pivots
+
+
+def schoolbook_kernel(F, reduced, pivots, ncols):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = F.neg(reduced[ri][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+LINALG_FIELDS = [field_make(2, 1), field_make(3, 1), field_make(2, 2),
+                 field_make(5, 1), field_make(7, 1), field_make(2, 3),
+                 field_make(3, 2), field_make(2, 4), field_make(5, 2),
+                 field_make(3, 3)]
+
+
+@st.composite
+def matrices(draw):
+    """(field, ncols, rows): sparse random rows, some of them zero, some
+    repeated and some combinations of others, so ranks fall short."""
+    F = draw(st.sampled_from(LINALG_FIELDS))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(0, F.q - 1)), draw(st.integers(0, F.q - 1))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [F.add(F.mul(s, x), F.mul(t, y)) for x, y in zip(a, b)])
+    return F, ncols, rows
+
+
+def _check_linalg(F, ncols, rows):
+    m = Matrix(F, rows)
+    want_rows, want_pivots = schoolbook_rref(F, rows, ncols)
+    got_rows, got_pivots = m.rref()
+    assert (list(got_rows), got_pivots) == (want_rows, want_pivots)
+    assert m.rank() == len(want_rows)
+    assert list(m.kernel().rows) == \
+        schoolbook_kernel(F, want_rows, want_pivots, ncols)
+    assert list(m.rows) == [tuple(r) for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_rref_rank_kernel_match_schoolbook(case):
+    _check_linalg(*case)
+
+
+@pytest.mark.parametrize("q,rows", [
+    (5, [[0, 0, 0], [0, 0, 0]]),                  # all zero
+    (4, [[0, 0, 0, 0]]),
+    (3, [[2], [1], [0]]),                         # one column
+    (2, [[1], [1]]),
+    (7, [[0, 3, 5], [0, 0, 0], [0, 6, 3]]),       # zero row, repeated multiple
+    (9, [[4, 7, 1, 0], [4, 7, 1, 0], [0, 0, 5, 8]]),   # repeated row
+    (25, [[0, 13, 2, 24], [17, 3, 0, 9], [17, 16, 2, 8]]),  # rank deficient
+    (27, [[26, 1, 14], [5, 0, 20], [0, 7, 7], [11, 11, 0]]),  # pivots != 1
+    (16, [[0, 9, 15, 3, 0], [0, 0, 0, 0, 0], [6, 1, 0, 12, 7]]),
+    (8, [[3, 5, 6, 7], [6, 1, 7, 5]]),
+])
+def test_rref_edge_cases_match_schoolbook(q, rows):
+    _check_linalg(field_of_order(q), len(rows[0]), rows)
+
+
+@pytest.mark.parametrize("bad", [-1, "q", 1.0, "1", 1 << 80, None])
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_matrix_rejects_what_check_rejects(bad, q):
+    F = field_of_order(q)
+    x = F.q if bad == "q" else bad
+    with pytest.raises(FieldError):
+        F.check(x)
+    for rows in ([[x]], [[0, 1, x]], [[1, 0], [x, 0]]):
+        with pytest.raises(FieldError):
+            Matrix(F, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([field_make(2, 1), field_make(3, 1), field_make(2, 2)]),
+       st.lists(st.lists(st.one_of(st.integers(-2, 5), st.booleans(),
+                                   st.just(1.0), st.just("1"),
+                                   st.just(1 << 70)),
+                         min_size=2, max_size=2), min_size=1, max_size=3))
+def test_matrix_accepts_exactly_what_check_accepts(F, rows):
+    def accepted(x):
+        try:
+            F.check(x)
+        except FieldError:
+            return False
+        return True
+    if all(accepted(x) for r in rows for x in r):
+        assert list(Matrix(F, rows).rows) == [tuple(r) for r in rows]
+    else:
+        with pytest.raises(FieldError):
+            Matrix(F, rows)
+
+
+def test_matrix_accepts_bools():
+    F = field_make(2, 1)
+    m = Matrix(F, [[True, False, True], [False, True, True]])
+    assert m.rank() == 2
+    assert list(m.rows) == [(True, False, True), (False, True, True)]
+
+
+def _sorted_projective_points(field, k):
+    """Every canonical point, built and then sorted by its integer code,
+    the most significant coordinate first."""
+    pts = []
+    for lead in range(k):
+        for code in range(field.q ** (k - lead - 1)):
+            tail = [code // field.q ** i % field.q
+                    for i in range(k - lead - 1)]
+            pts.append(tuple([0] * lead + [1] + tail[::-1]))
+
+    def key(pt):
+        out = 0
+        for x in pt:
+            out = out * field.q + x
+        return out
+    return sorted(pts, key=key)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 5), (3, 1), (3, 3), (4, 3),
+                                 (5, 2), (7, 3), (8, 2), (9, 2)])
+def test_projective_points_are_sorted(q, k):
+    field = field_of_order(q)
+    assert projective_points(field, k) == _sorted_projective_points(field, k)
+
+
+def test_catalog_generators_are_the_schoolbook_rref():
+    checked = 0
+    for entry in cat.load_manifest():
+        if entry.mode != "construct_and_enumerate":
+            continue
+        for code in (cat.base_code(entry.build), cat.build_code(entry.build)):
+            if code.column_points is None:       # built from explicit rows
+                continue
+            dim, columns = code.column_points
+            want, _ = schoolbook_rref(code.field, list(zip(*columns)),
+                                      len(columns))
+            assert list(code.generator.rows) == want, entry.id
+            checked += 1
+    assert checked >= 60
