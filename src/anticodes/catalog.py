@@ -92,11 +92,30 @@ def base_code(build: dict) -> LinearCode:
     return FAMILIES[family](**build.get("params", {}))
 
 
+def _build_keys(build: dict) -> tuple:
+    """Memo keys of a build description: one for its (family, params),
+    then one for its complement if it has one."""
+    key = json.dumps([build["family"], build.get("params", {})],
+                     sort_keys=True)
+    K = build.get("complement_at")
+    return (key,) if K is None else (key, (key, json.dumps(K)))
+
+
+def _built(build: dict, builds: dict):
+    """(base code, code) of a build description, each made once per
+    ``builds`` dict."""
+    keys = _build_keys(build)
+    if keys[0] not in builds:
+        builds[keys[0]] = base_code(build)
+    if keys[-1] not in builds:
+        builds[keys[-1]] = cons.complement(builds[keys[0]],
+                                           K=build["complement_at"])
+    return builds[keys[0]], builds[keys[-1]]
+
+
 def build_code(build: dict) -> LinearCode:
     """Construct the code described by a manifest build entry."""
-    code = base_code(build)
-    K = build.get("complement_at")
-    return code if K is None else cons.complement(code, K=K)
+    return _built(build, {})[1]
 
 
 # ----------------------------------------------------------------------
@@ -115,15 +134,18 @@ def _compare(result: EntryResult, name: str, got, want):
         result.mismatches.append(f"{name}: got {got}, expected {want}")
 
 
-def verify_entry(entry: CatalogEntry) -> EntryResult:
+def verify_entry(entry: CatalogEntry,
+                 builds: dict | None = None) -> EntryResult:
+    """Check one row. ``builds`` lets the rows of one catalog pass share
+    the codes they build (and their cached distributions); every row still
+    runs all of its own checks."""
     result = EntryResult(entry.id, ok=True,
                          known_discrepancy=entry.known_discrepancy,
                          note=entry.note)
     exp = entry.expect
     if entry.mode == "construct_and_enumerate":
-        base = base_code(entry.build)
+        base, code = _built(entry.build, {} if builds is None else builds)
         K = entry.build.get("complement_at")
-        code = base if K is None else cons.complement(base, K=K)
         wd = code.weight_distribution()
         _compare(result, "q", code.field.q, exp.get("q"))
         _compare(result, "n", code.n, exp.get("n"))
@@ -229,7 +251,17 @@ def verify_catalog(entries=None, jobs: int = 4):
     """
     if entries is None:
         entries = load_manifest()
-    results = [verify_entry(entry) for entry in entries]
+    # each distinct build and complement is made once in this pass and
+    # dropped after the last row that uses it, so no pass reuses another's
+    last_row = {}
+    for i, entry in enumerate(entries):
+        if entry.mode == "construct_and_enumerate":
+            last_row.update(dict.fromkeys(_build_keys(entry.build), i))
+    builds, results = {}, []
+    for i, entry in enumerate(entries):
+        results.append(verify_entry(entry, builds))
+        for key in [key for key in builds if last_row[key] == i]:
+            del builds[key]
     failed = [r for r in results if not r.ok and not r.known_discrepancy]
     flagged = [r for r in results if not r.ok and r.known_discrepancy]
     summary = {

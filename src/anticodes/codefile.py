@@ -8,11 +8,15 @@ weight distribution may be embedded and is revalidated on use.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .gf import GF, Matrix
 from .linear import CodeError, LinearCode, WeightDistribution
 
 FORMAT_NAME = "linear-code"
+_KEYS = {"format", "field", "n", "k", "label", "generator",
+         "weight_distribution"}
+_FIELD_KEYS = {"p", "e", "modulus"}
 
 
 def code_to_dict(code: LinearCode, with_distribution: bool = False) -> dict:
@@ -41,12 +45,35 @@ def _typed(doc: dict, key: str, kind: type, where: str):
     return value
 
 
+def _unknown_keys(doc: dict, known: set, where: str):
+    unknown = sorted(set(doc) - known, key=str)
+    if unknown:
+        raise CodeError(f"{where} has unknown keys {unknown}")
+
+
+@lru_cache(maxsize=16)      # a field holds O(q) tables, ~MBs at q = 2^16
+def _shared_field(p: int, e: int, modulus: tuple) -> GF:
+    return GF(p, e, modulus=list(modulus))
+
+
+def _field(fld: dict) -> GF:
+    """The field of a code file, shared by every load with the same p, e
+    and modulus. A coefficient that is not a plain int goes straight to GF
+    to be rejected: True == 1, so a cache lookup would find a field."""
+    p, e = _typed(fld, "p", int, "field"), _typed(fld, "e", int, "field")
+    modulus = _typed(fld, "modulus", list, "field")
+    if all(type(c) is int for c in modulus):
+        return _shared_field(p, e, tuple(modulus))
+    return GF(p, e, modulus=modulus)
+
+
 def code_from_dict(doc: dict) -> LinearCode:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise CodeError(f"not a {FORMAT_NAME} document")
+    _unknown_keys(doc, _KEYS, "code file")
     fld = _typed(doc, "field", dict, "code file")
-    field = GF(_typed(fld, "p", int, "field"), _typed(fld, "e", int, "field"),
-               modulus=_typed(fld, "modulus", list, "field"))
+    _unknown_keys(fld, _FIELD_KEYS, "field")
+    field = _field(fld)
     rows = _typed(doc, "generator", list, "code file")
     if not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows):
         raise CodeError("generator must be a list of equal-length rows")

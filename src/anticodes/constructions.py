@@ -12,7 +12,7 @@ construction is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .gf import GF, FieldError, field_make, project_to_subfield, relative_trace
 from .linear import (CodeError, LinearCode, WeightDistribution,
@@ -273,23 +273,34 @@ def ovoid_code(q: int) -> LinearCode:
 # trace-code families
 # ----------------------------------------------------------------------
 
+def _trace_masks(field: GF):
+    """Masks of the absolute trace of GF(2^e) on its polynomial basis:
+    bit i of mask j is Tr(x^j * x^i). The trace is GF(2)-linear, so
+    Tr(x^j * y) is the parity of y & mask j for every element code y."""
+    gf2 = field_make(2, 1)
+    return [sum(relative_trace(field.mul(1 << j, 1 << i), field, gf2) << i
+                for i in range(field.e))
+            for j in range(field.e)]
+
+
+def _trace_rows(masks, values):
+    """One row per mask: the traces Tr(x^j * y) over the values y."""
+    return [[(y & mask).bit_count() & 1 for y in values] for mask in masks]
+
+
 def dual_bch_code(m: int) -> LinearCode:
     """[2^m - 1, 2m]_2 code with coordinates Tr(a*x + b*x^3) over the
     nonzero field elements x; m must be odd."""
     if m < 3 or m % 2 == 0:
         raise CodeError(f"need odd m >= 3, got {m}")
     amb = field_make(2, m)
-    sub = field_make(2, 1)
-    xs = list(range(1, amb.q))
+    xs = range(1, amb.q)
     cubes = [amb.pow(x, 3) for x in xs]
-    rows = []
-    for j in range(m):  # a = x^j, b = 0
-        a = 1 << j
-        rows.append([relative_trace(amb.mul(a, x), amb, sub) for x in xs])
-    for j in range(m):  # a = 0, b = x^j
-        b = 1 << j
-        rows.append([relative_trace(amb.mul(b, x3), amb, sub) for x3 in cubes])
-    return LinearCode.from_generator(sub, rows, label=f"dual-bch(m={m})")
+    masks = _trace_masks(amb)
+    # a = x^j, b = 0; then a = 0, b = x^j
+    rows = _trace_rows(masks, xs) + _trace_rows(masks, cubes)
+    return LinearCode.from_generator(field_make(2, 1), rows,
+                                     label=f"dual-bch(m={m})")
 
 
 def kasami_code(m: int) -> LinearCode:
@@ -300,18 +311,17 @@ def kasami_code(m: int) -> LinearCode:
         raise CodeError(f"need m >= 2, got {m}")
     amb = field_make(2, 2 * m)
     sub = field_make(2, m)
-    gf2 = field_make(2, 1)
-    xs = list(range(1, amb.q))
-    # x^(2^m + 1) is the relative norm, which lands in the subfield
-    norms = [project_to_subfield(amb.pow(x, (1 << m) + 1), sub, amb) for x in xs]
-    rows = []
-    for j in range(2 * m):  # b = x^j, a = 0
-        b = 1 << j
-        rows.append([relative_trace(amb.mul(b, x), amb, gf2) for x in xs])
-    for j in range(m):  # b = 0, a = subfield basis element
-        a = 1 << j
-        rows.append([relative_trace(sub.mul(a, nx), sub, gf2) for nx in norms])
-    code = LinearCode.from_generator(gf2, rows, label=f"kasami(m={m})")
+    xs = range(1, amb.q)
+    # x^(2^m + 1) is the relative norm, which lands in the subfield; it
+    # takes 2^m - 1 values, each projected once
+    powers = [amb.pow(x, (1 << m) + 1) for x in xs]
+    project = {v: project_to_subfield(v, sub, amb) for v in set(powers)}
+    norms = [project[v] for v in powers]
+    # b = x^j, a = 0; then b = 0, a = subfield basis element
+    rows = _trace_rows(_trace_masks(amb), xs) \
+        + _trace_rows(_trace_masks(sub), norms)
+    code = LinearCode.from_generator(field_make(2, 1), rows,
+                                     label=f"kasami(m={m})")
     if code.k != 3 * m:
         raise CodeError(f"kasami rank {code.k} != {3 * m}")
     return code
@@ -328,25 +338,19 @@ def concatenate_with_simplex(outer: LinearCode) -> LinearCode:
     if of.p != 2:
         raise CodeError("outer field must have characteristic 2")
     s = of.e
-    gf2 = field_make(2, 1)
     inner_rows = simplex(2, s).generator.rows if s > 1 else [(1,)]
-
-    def inner_encode(sym: int):
-        coords = of.coords(sym)
+    # the inner codeword of every symbol value, encoded once
+    words = []
+    for sym in range(of.q):
         word = [0] * len(inner_rows[0])
-        for c, row in zip(coords, inner_rows):
+        for c, row in zip(of.coords(sym), inner_rows):
             if c:
                 word = [a ^ b for a, b in zip(word, row)]
-        return word
-
-    rows = []
-    for outer_row in outer.generator.rows:
-        for j in range(s):
-            basis = 1 << j
-            scaled = [of.mul(basis, sym) for sym in outer_row]
-            binary_row = []
-            for sym in scaled:
-                binary_row.extend(inner_encode(sym))
-            rows.append(binary_row)
+        words.append(word)
+    # row j of a scaled copy: the codeword of x^j * sym for each symbol
+    scaled = [[words[of.mul(1 << j, sym)] for sym in range(of.q)]
+              for j in range(s)]
+    rows = [list(chain.from_iterable(map(table.__getitem__, outer_row)))
+            for outer_row in outer.generator.rows for table in scaled]
     return LinearCode.from_generator(
-        gf2, rows, label=f"concat-simplex({outer.label})")
+        field_make(2, 1), rows, label=f"concat-simplex({outer.label})")

@@ -1,10 +1,12 @@
 """Bundled manifest loading and catalog verification."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from anticodes import catalog as cat
+from anticodes import constructions as cons
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +120,40 @@ def test_flagged_rows_reported_not_failed(entries):
     for e in flagged:
         result = cat.verify_entry(e)
         assert result.verdict in ("pass", "known-discrepancy")
+
+
+def test_catalog_pass_builds_each_code_once(entries, monkeypatch):
+    builds, complements = Counter(), Counter()
+    made = {}       # id of a family's code -> (code, build key); kept alive
+
+    def counted(family, builder):
+        def build(**params):
+            code = builder(**params)
+            key = (family, tuple(sorted(params.items())))
+            builds[key] += 1
+            made[id(code)] = (code, key)
+            return code
+        return build
+
+    original = cons.complement
+
+    def complement(source, K):
+        if id(source) in made:    # not a family's own internal complement
+            complements[made[id(source)][1], K] += 1
+        return original(source, K=K)
+
+    monkeypatch.setattr(cat, "FAMILIES", {
+        family: counted(family, builder)
+        for family, builder in cat.FAMILIES.items()})
+    monkeypatch.setattr(cons, "complement", complement)
+    rows = [e.build for e in entries if e.mode == "construct_and_enumerate"]
+    keys = {(b["family"], tuple(sorted(b.get("params", {}).items())))
+            for b in rows}
+    comp_keys = {((b["family"], tuple(sorted(b["params"].items()))),
+                  b["complement_at"]) for b in rows if "complement_at" in b}
+    assert len(keys) < len(rows) and len(comp_keys) > 1
+    for passes in (1, 2):       # nothing carries over from one pass
+        results, _ = cat.verify_catalog(entries)
+        assert builds == Counter(dict.fromkeys(keys, passes))
+        assert complements == Counter(dict.fromkeys(comp_keys, passes))
+    assert results == [cat.verify_entry(e) for e in entries]

@@ -10,6 +10,7 @@ import pytest
 from anticodes import codefile
 from anticodes import constructions as cons
 from anticodes.cli import build_parser, main
+from anticodes.gf import FieldError
 from test_catalog import BAD_ROWS
 
 
@@ -233,6 +234,26 @@ def test_analyze_reducible_modulus_is_usage_error(tmp_path, capsys, modulus):
 ])
 def test_analyze_malformed_code_file_is_usage_error(tmp_path, capsys, change):
     _assert_usage_error(_write_doc(tmp_path, _doc(**change)), capsys)
+
+
+@pytest.mark.parametrize("change", [
+    {"colour": "red"},
+    {"field": {"p": 2, "e": 1, "modulus": [0, 1], "name": "GF(2)"}},
+])
+def test_analyze_unknown_code_file_key_is_usage_error(tmp_path, capsys,
+                                                      change):
+    _assert_usage_error(_write_doc(tmp_path, _doc(**change)), capsys)
+
+
+def test_code_file_loads_share_one_field(tmp_path):
+    field = {"p": 2, "e": 4, "modulus": [1, 1, 0, 0, 1]}
+    docs = [_doc(field=field, n=1, generator=[[g]]) for g in (1, 2)]
+    a, b = (codefile.code_from_dict(doc) for doc in docs)
+    assert a.field is b.field
+    # True == 1 and hashes alike, yet must not find the cached field
+    with pytest.raises(FieldError):
+        codefile.code_from_dict(_doc(field={**field, "modulus": [
+            True, 1, 0, 0, 1]}, n=1, generator=[[1]]))
 
 
 def test_analyze_hand_written_document(tmp_path, capsys):

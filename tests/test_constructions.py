@@ -3,8 +3,8 @@
 import pytest
 
 from anticodes import constructions as cons
-from anticodes.gf import field_make
-from anticodes.linear import CodeError, WeightDistribution
+from anticodes.gf import field_make, project_to_subfield, relative_trace
+from anticodes.linear import CodeError, LinearCode, WeightDistribution
 
 
 def test_projective_points_count_and_canonical_form():
@@ -139,3 +139,76 @@ def test_point_set_rejects_duplicates_and_zero():
 def test_field_of_order_rejects_non_prime_power():
     with pytest.raises(Exception):
         cons.field_of_order(6)
+
+
+# ----------------------------------------------------------------------
+# oracles: the builders' per-coordinate definitions, one trace or one
+# inner encoding per coordinate
+# ----------------------------------------------------------------------
+
+def dual_bch_rows(m):
+    amb, gf2 = field_make(2, m), field_make(2, 1)
+    xs = list(range(1, amb.q))
+    cubes = [amb.pow(x, 3) for x in xs]
+    return ([[relative_trace(amb.mul(1 << j, x), amb, gf2) for x in xs]
+             for j in range(m)]
+            + [[relative_trace(amb.mul(1 << j, y), amb, gf2) for y in cubes]
+               for j in range(m)])
+
+
+def kasami_rows(m):
+    amb, sub, gf2 = field_make(2, 2 * m), field_make(2, m), field_make(2, 1)
+    xs = list(range(1, amb.q))
+    norms = [project_to_subfield(amb.pow(x, (1 << m) + 1), sub, amb)
+             for x in xs]
+    return ([[relative_trace(amb.mul(1 << j, x), amb, gf2) for x in xs]
+             for j in range(2 * m)]
+            + [[relative_trace(sub.mul(1 << j, y), sub, gf2) for y in norms]
+               for j in range(m)])
+
+
+def concat_rows(outer):
+    of = outer.field
+    s = of.e
+    inner = cons.simplex(2, s).generator.rows if s > 1 else [(1,)]
+
+    def inner_encode(sym):
+        word = [0] * len(inner[0])
+        for c, row in zip(of.coords(sym), inner):
+            if c:
+                word = [a ^ b for a, b in zip(word, row)]
+        return word
+
+    rows = []
+    for outer_row in outer.generator.rows:
+        for j in range(s):
+            row = []
+            for sym in outer_row:
+                row.extend(inner_encode(of.mul(1 << j, sym)))
+            rows.append(row)
+    return rows
+
+
+def generator_of(rows):
+    return LinearCode.from_generator(field_make(2, 1), rows).generator.rows
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_dual_bch_matches_per_coordinate_traces(m):
+    assert cons.dual_bch_code(m).generator.rows == \
+        generator_of(dual_bch_rows(m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_kasami_matches_per_coordinate_traces(m):
+    assert cons.kasami_code(m).generator.rows == generator_of(kasami_rows(m))
+
+
+@pytest.mark.parametrize("outer", [
+    lambda: cons.ovoid_code(4), lambda: cons.ovoid_code(8),
+    lambda: cons.two_subspace_code(4)],
+    ids=["concat-ovoid-2", "concat-ovoid-3", "concat-two-subspace-2"])
+def test_concatenation_matches_per_symbol_encoding(outer):
+    code = outer()
+    assert cons.concatenate_with_simplex(code).generator.rows == \
+        generator_of(concat_rows(code))
