@@ -2,7 +2,8 @@
 
 Files are self-describing: the field modulus is stored explicitly, all
 values are integers, and the generator round-trips losslessly. A cached
-weight distribution may be embedded and is revalidated on use.
+weight distribution may be embedded; it is checked against the first walk
+that counts weights, and a mismatch is a ``CodeError``.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def code_from_dict(doc: dict) -> LinearCode:
                 str(w).isdigit() and isinstance(c, int)
                 for w, c in cached.items()):
             raise CodeError("weight_distribution must map weights to counts")
-        wd = WeightDistribution(
+        # a claim: the first walk that counts weights checks it
+        code._claim = WeightDistribution(
             field.q, code.n, code.k, {int(w): c for w, c in cached.items()})
-        code._wd = wd
     return code
 
 

@@ -91,6 +91,8 @@ def _code_from_points(field: GF, points, label: str) -> LinearCode:
 # ----------------------------------------------------------------------
 
 def simplex(q: int, k: int) -> LinearCode:
+    if k < 1:
+        raise CodeError(f"simplex needs k >= 1, got k={k}")
     field = field_of_order(q)
     n = (q ** k - 1) // (q - 1)
     if n > LENGTH_CAP:

@@ -95,6 +95,7 @@ class LinearCode:
         self.label = label
         self.column_points = column_points
         self._wd = None
+        self._claim = None        # a distribution read from a code file
 
     @classmethod
     def from_generator(cls, field: GF, rows, label: str = "") -> "LinearCode":
@@ -123,19 +124,27 @@ class LinearCode:
                 f"q^k = {self.field.q ** self.k} exceeds enumeration cap")
 
     def weight_distribution(self) -> WeightDistribution:
-        """Counts from one codeword per projective class, each times q - 1."""
+        """Counts from one codeword per projective class, each times q - 1.
+        Over the enumeration cap a claimed distribution stands unverified."""
         if self._wd is None:
+            if self._claim is not None and self.field.q ** self.k > ENUM_CAP:
+                return self._claim
             self._check_cap()
             self._wd = self._distribution(Counter(
                 map(int.bit_count, _classes(self.field, self.generator.rows))))
         return self._wd
 
     def _distribution(self, classes):
-        """The distribution from a count of class weights."""
+        """The distribution from a count of class weights, checked against
+        the claimed one if there is one."""
         q = self.field.q
         counts = {0: 1}
         counts.update((w, c * (q - 1)) for w, c in classes.items())
-        return WeightDistribution(q, self.n, self.k, counts)
+        wd = WeightDistribution(q, self.n, self.k, counts)
+        if self._claim is not None and wd != self._claim:
+            raise CodeError("the cached weight_distribution is not the "
+                            f"generator's: counted {wd.to_dict()}")
+        return wd
 
     def min_distance(self) -> int:
         return self.weight_distribution().min_weight

@@ -186,7 +186,7 @@ def test_10_bound_properties_across_catalog(entries):
 
 
 def test_11_catalog_regression(entries):
-    results, summary = cat.verify_catalog(entries, jobs=8)
+    results, summary = cat.verify_catalog(entries)
     assert summary["failed"] == 0
     flagged_ids = {e.id for e in entries if e.known_discrepancy}
     assert flagged_ids == {"comp-rs-2-5-antigriesmer",

@@ -57,6 +57,7 @@ BAD_ROWS = {
     "unknown-mode": {**SIMPLEX_ROW, "id": "bad", "mode": "enumerate"},
     "unknown-build-key": {**SIMPLEX_ROW, "id": "bad", "build": {
         **SIMPLEX_ROW["build"], "complement": 4}},
+    "build-not-object": {**SIMPLEX_ROW, "id": "bad", "build": "simplex"},
 }
 
 
@@ -83,6 +84,23 @@ def test_build_code_unknown_family():
         cat.build_code({"family": "nope", "params": {}})
 
 
+@pytest.mark.parametrize("build", [
+    {"family": "simplex", "params": {"q": 2}},
+    {"family": "simplex", "params": {"q": 2, "k": 3, "m": 9}},
+    {"family": "simplex", "params": [2, 3]},
+    {"family": "simplex", "params": {"q": 2, "k": 3}, "complement": 4},
+])
+def test_build_code_checks_its_build(build):
+    # the same check as a manifest row's, at build time
+    with pytest.raises(cat.ManifestError):
+        cat.build_code(build)
+
+
+def test_params_are_every_builders_parameters():
+    # one CLI construct flag each
+    assert set(cat.PARAMS) == {"q", "k", "h", "w", "m", "s"}
+
+
 def test_verify_entry_detects_mismatch():
     entry = cat.CatalogEntry(
         id="bad-simplex", mode="construct_and_enumerate",
@@ -105,7 +123,7 @@ def test_verify_entry_transform_only():
 
 
 def test_full_catalog_verifies(entries):
-    results, summary = cat.verify_catalog(entries, jobs=8)
+    results, summary = cat.verify_catalog(entries)
     assert summary["total"] == len(entries)
     assert summary["failed"] == 0
     not_ok = [r for r in results if not r.ok]

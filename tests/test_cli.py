@@ -2,13 +2,17 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from anticodes import catalog as cat
 from anticodes import codefile
 from anticodes import constructions as cons
+from anticodes import linear
 from anticodes.cli import build_parser, main
 from anticodes.gf import FieldError
 from test_catalog import BAD_ROWS
@@ -45,6 +49,53 @@ def test_construct_with_complement(tmp_path):
 
 def test_construct_missing_parameter():
     assert run(["construct", "simplex", "--k", "3"]) == 2
+
+
+@pytest.mark.parametrize("params", [
+    ["--q", "2", "--k", "3", "--m", "9"],     # simplex takes no m
+    ["--q", "2", "--k", "0"],
+], ids=["extra-param", "k-0"])
+def test_construct_bad_params_exit_2(capsys, params):
+    assert run(["construct", "simplex", *params]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def _distinct_builds():
+    builds = []
+    for entry in cat.load_manifest():
+        if entry.mode == "construct_and_enumerate" \
+                and entry.build not in builds:
+            builds.append(entry.build)
+    return builds
+
+
+def _construct_argv(build):
+    argv = ["construct", build["family"]]
+    for name, value in build.get("params", {}).items():
+        argv += [f"--{name}", str(value)]
+    if "complement_at" in build:
+        argv += ["--K", str(build["complement_at"])]
+    return argv
+
+
+@pytest.mark.parametrize("build", _distinct_builds(),
+                         ids=lambda b: " ".join(_construct_argv(b)[1:]))
+def test_construct_agrees_with_the_catalog(tmp_path, build):
+    out = tmp_path / "c.json"
+    assert run(_construct_argv(build) + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == codefile.code_to_dict(
+        cat.build_code(build), with_distribution=True)
+
+
+def test_construct_lift_is_h(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["construct", "comp-rs", "--q", "4", "--k", "3", "--h", "1",
+                "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["n"], doc["k"]) == (81, 4)
+    assert doc == codefile.code_to_dict(cons.complementary_rs(4, 3, h=1),
+                                        with_distribution=True)
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -104,6 +155,27 @@ def test_analyze_corrupt_file(tmp_path):
     assert run(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("code, forged", [
+    (cons.simplex(3, 2), {"0": 1, "1": 8}),     # minimal: its walk checks
+    (cons.rs_code(4, 3), {"0": 1, "1": 63}),    # not minimal
+], ids=["minimal", "not-minimal"])
+def test_analyze_forged_distribution_is_usage_error(tmp_path, capsys, code,
+                                                    forged):
+    path = tmp_path / "code.json"
+    doc = codefile.code_to_dict(code, with_distribution=True)
+    doc["weight_distribution"] = forged
+    path.write_text(json.dumps(doc))
+    _assert_usage_error(path, capsys)
+
+
+def test_cached_distribution_over_the_cap_stands(monkeypatch):
+    # over the enumeration cap nothing can check a claim, so it is used
+    doc = codefile.code_to_dict(cons.simplex(2, 4), with_distribution=True)
+    monkeypatch.setattr(linear, "ENUM_CAP", 8)
+    code = codefile.code_from_dict(doc)
+    assert code.weight_distribution().to_dict() == doc["weight_distribution"]
+
+
 def test_complement_subcommand(tmp_path, code_file):
     out = tmp_path / "comp.json"
     assert run(["complement", str(code_file), "--K", "4",
@@ -156,10 +228,20 @@ def test_catalog_verify_failing_manifest(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("defect", sorted(BAD_ROWS))
+# every bad row, plus manifests that are not JSON at all
+BAD_MANIFESTS = {
+    **{defect: json.dumps({"entries": [row]}).encode()
+       for defect, row in BAD_ROWS.items()},
+    "not-json": b"{not json",
+    "long-integer": b'{"entries": [' + b"9" * 5000 + b"]}",
+    "not-utf-8": b'{"entries": ["\xff"]}',
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_MANIFESTS))
 def test_catalog_bad_manifest_row_exits_2(tmp_path, capsys, defect):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"entries": [BAD_ROWS[defect]]}))
+    path.write_bytes(BAD_MANIFESTS[defect])
     assert run(["catalog", "verify", "--manifest", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -269,3 +351,33 @@ def test_analyze_oversized_integer_is_usage_error(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(text)
     _assert_usage_error(path, capsys)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title):
+    text = README.read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    block = _readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines()
+             if line.startswith("anticodes ")]
+    assert any(line.startswith("anticodes swrg-verify") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        # exit 0 everywhere; for swrg-verify, that is the certificate
+        assert run(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_family_table_is_the_registry():
+    rows = [line.split(" | ")[:2] for line in
+            _readme_section("CLI").splitlines() if line.startswith("| `")]
+    table = {family.strip("| `"): flags.strip("`") for family, flags in rows}
+    assert table == {
+        family: " ".join(f"--{p.name}" if p.default is p.empty
+                         else f"[--{p.name}]"
+                         for p in signature.parameters.values())
+        for family, signature in cat.SIGNATURES.items()}
