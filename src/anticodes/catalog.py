@@ -141,6 +141,7 @@ def _built(build: dict, builds: dict):
 
 def build_code(build: dict) -> LinearCode:
     """Construct the code described by a manifest build entry."""
+    check_build(build)
     return _built(build, {})[1]
 
 

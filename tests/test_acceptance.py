@@ -11,7 +11,7 @@ import pytest
 from anticodes import catalog as cat
 from anticodes import constructions as cons
 from anticodes.bounds import antigriesmer_sum, griesmer, plotkin_anticode_floor
-from anticodes.swrg import CosetGraph, analytic_parameters_l3, verify_swrg
+from anticodes.swrg import verify_swrg
 
 
 @pytest.fixture(scope="module")
@@ -142,9 +142,10 @@ def test_09_swrg_certificates():
     assert cert.walk_counts == (2746, 2730, 2730)
     assert cert.analytic_l3 == (2746, 2730, 2730)
     assert cert.spectrum == {56: 1, 4: 7, 0: 35, -4: 21}
-    # independent brute force: cube the full 64x64 adjacency matrix
-    graph = CosetGraph(code)
-    conn = set(graph.connection_set)
+    # independent brute force: cube the full 64x64 adjacency matrix of the
+    # Cayley graph with the generator columns as connection set
+    conn = {sum(x << i for i, x in enumerate(col))
+            for col in code.generator.columns()}
     A = [[int(u ^ v in conn) for v in range(64)] for u in range(64)]
     A2 = [[sum(ra[t] * A[t][v] for t in range(64)) for v in range(64)]
           for ra in A]

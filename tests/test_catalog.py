@@ -89,6 +89,7 @@ def test_build_code_unknown_family():
     {"family": "simplex", "params": {"q": 2, "k": 3, "m": 9}},
     {"family": "simplex", "params": [2, 3]},
     {"family": "simplex", "params": {"q": 2, "k": 3}, "complement": 4},
+    "simplex",
 ])
 def test_build_code_checks_its_build(build):
     # the same check as a manifest row's, at build time

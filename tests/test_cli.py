@@ -145,6 +145,16 @@ def test_swrg_verify_huge_l_hits_the_cap(tmp_path, capsys):
     assert "over the cap" in capsys.readouterr().err
 
 
+def test_swrg_verify_refuses_an_unchecked_distribution(tmp_path, capsys,
+                                                       monkeypatch):
+    # over the enumeration cap the file's distribution would go unchecked
+    comp = tmp_path / "c56.json"
+    codefile.save_code(cons.complement(cons.dual_bch_code(3), K=6), comp)
+    monkeypatch.setattr(linear, "ENUM_CAP", 8)
+    assert run(["swrg-verify", str(comp)]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_analyze_missing_file(tmp_path):
     assert run(["analyze", str(tmp_path / "absent.json")]) == 2
 
