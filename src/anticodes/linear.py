@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
+from functools import cached_property
 
 from .gf import GF, Matrix, _Packing
 
@@ -75,13 +76,14 @@ class WeightDistribution:
 class LinearCode:
     """An [n, k]_q code held as a full-rank k x n generator matrix.
 
-    ``column_points`` optionally retains the originating column multiset in
-    its ambient dimension (which may exceed k when the defining matrix was
-    rank-deficient); the complement construction consumes it.
+    A code built from columns keeps their matrix, packed, in its ambient
+    dimension (which may exceed k when that matrix was rank-deficient);
+    ``column_points`` shows it as column tuples, and the complement
+    construction consumes it.
     """
 
     def __init__(self, field: GF, generator: Matrix, label: str = "",
-                 column_points=None):
+                 points: Matrix | None = None):
         if generator.nrows == 0 or generator.ncols == 0:
             raise CodeError("zero-size generator")
         r = generator.rank()
@@ -93,7 +95,7 @@ class LinearCode:
         self.n = generator.ncols
         self.k = generator.nrows
         self.label = label
-        self.column_points = column_points
+        self._points = points
         self._wd = None
         self._claim = None        # a distribution read from a code file
 
@@ -103,16 +105,30 @@ class LinearCode:
 
     @classmethod
     def from_columns(cls, field: GF, columns, label: str = "") -> "LinearCode":
-        """Code spanned by the rows of the matrix with the given columns.
+        """Code spanned by the rows of the matrix with the given columns,
+        which may repeat or be rank-deficient."""
+        return cls.from_column_matrix(field, Matrix(field, list(zip(*columns))),
+                                      label=label)
 
-        The matrix may be rank-deficient; its RREF rows become the
-        generator, taken over packed and with their rank known, and the
-        full column list is kept for the complement construction.
+    @classmethod
+    def from_column_matrix(cls, field: GF, points: Matrix,
+                           label: str = "") -> "LinearCode":
+        """Code spanned by the rows of ``points``, whose columns it keeps.
+
+        The RREF rows of ``points`` become the generator, taken over
+        packed and with their rank known.
         """
-        ambient = len(columns[0])
-        basis, _ = Matrix(field, list(zip(*columns))).rref()
-        return cls(field, Matrix(field, basis), label=label,
-                   column_points=(ambient, [tuple(c) for c in columns]))
+        basis, _ = points.rref()
+        return cls(field, Matrix(field, basis), label=label, points=points)
+
+    @cached_property
+    def column_points(self):
+        """(ambient dimension, column tuples) of the matrix the code was
+        built from, unpacked on first read; None for a code built from
+        its generator rows."""
+        if self._points is None:
+            return None
+        return self._points.nrows, self._points.columns()
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}]_{self.field.q}, {self.label!r})"
@@ -190,7 +206,9 @@ class LinearCode:
         hyperplane u^perp. If they span only V' < u^perp, any u' != u in
         the null space of V' vanishes wherever u does, so supp(u'G) lies
         inside supp(uG). The walk that tests each class also counts its
-        weight, and stores the distribution when the code is minimal.
+        weight. The witness comes from the first class that fails; after
+        it the walk goes on counting weights only, with no rank test, and
+        the distribution is stored either way, so ``analyze`` walks once.
         """
         F, q, k = self.field, self.field.q, self.k
         if q ** k > MINIMAL_CAP:
@@ -203,14 +221,17 @@ class LinearCode:
         rows = [[row[i] for i in order] for row in self.generator.rows]
         short = _short_span(F, rows)
         weights = Counter()
-        for index, mask in enumerate(_classes(F, rows)):
+        walk, witness = _classes(F, rows), None
+        for index, mask in enumerate(walk):
             weights[mask.bit_count()] += 1
             basis = short(mask)
             if basis is not None:
-                return False, self._witness(_class_message(F, k, index), basis)
+                witness = self._witness(_class_message(F, k, index), basis)
+                break
         if self._wd is None and q ** k <= ENUM_CAP:
+            weights.update(map(int.bit_count, walk))
             self._wd = self._distribution(weights)
-        return True, None
+        return witness is None, witness
 
     def _witness(self, u, basis):
         """(u'G, uG) for a u' that vanishes on ``basis``, not a multiple of u."""
@@ -237,6 +258,8 @@ class LinearCode:
 def canonical_point(field: GF, vec):
     """Scale so the first nonzero coordinate is 1; None for the zero vector."""
     for x in vec:
+        if x == 1:
+            return tuple(vec)
         if x:
             inv = field.inv(x)
             return tuple(field.mul(inv, y) for y in vec)

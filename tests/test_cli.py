@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from anticodes import catalog as cat
+from anticodes import cli
 from anticodes import codefile
 from anticodes import constructions as cons
 from anticodes import linear
@@ -143,6 +144,27 @@ def test_swrg_verify_huge_l_hits_the_cap(tmp_path, capsys):
     codefile.save_code(cons.complement(cons.dual_bch_code(3), K=6), comp)
     assert run(["swrg-verify", str(comp), "--l", str(10 ** 9 + 1)]) == 3
     assert "over the cap" in capsys.readouterr().err
+
+
+def test_swrg_verify_refuses_counts_too_long_to_print(tmp_path, capsys,
+                                                     monkeypatch):
+    # 56^2501 has more than the 4300 decimal digits Python prints
+    comp = tmp_path / "c56.json"
+    codefile.save_code(cons.complement(cons.dual_bch_code(3), K=6), comp)
+    certified = []
+    real = cli.verify_swrg
+    monkeypatch.setattr(cli, "verify_swrg",
+                        lambda *a, **kw: certified.append(a) or real(*a, **kw))
+    for fmt in ("json", "csv", "text"):
+        assert run(["swrg-verify", str(comp), "--l", "2501",
+                    "--format", fmt]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not certified                       # refused before any work
+    # just under the limit, the counts print and parse back
+    assert run(["swrg-verify", str(comp), "--l", "2457"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["l"] == 2457 and len(str(doc["walk_counts"][0])) > 4000
 
 
 def test_swrg_verify_refuses_an_unchecked_distribution(tmp_path, capsys,

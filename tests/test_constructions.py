@@ -1,15 +1,22 @@
 """Construction families, complements, and the distribution transform."""
 
+import tracemalloc
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anticodes import constructions as cons
-from anticodes.gf import field_make, project_to_subfield, relative_trace
+from anticodes.gf import (GF, FieldError, field_make, project_to_subfield,
+                          relative_trace)
 from anticodes.linear import CodeError, LinearCode, WeightDistribution
+from test_gf import projective_points, schoolbook_rref
 
 
 def test_projective_points_count_and_canonical_form():
     F = field_make(3, 1)
-    pts = cons.projective_points(F, 3)
+    pts = projective_points(F, 3)
     assert len(pts) == 13
     assert len(set(pts)) == 13
     for p in pts:
@@ -136,6 +143,18 @@ def test_point_set_rejects_duplicates_and_zero():
         cons.ProjectivePointSet(F, 2, [(0, 0)])
 
 
+def test_point_set_checks_its_coordinates():
+    F = field_make(2, 2)
+    for bad in [(1, 0, -1), (1, 0, 5), (1, 0, 1.0), (2, "1", 0)]:
+        with pytest.raises(FieldError):
+            cons.ProjectivePointSet(F, 3, [(1, 0, 0), bad])
+    for short in [(1, 0), (0, 1, 0, 0)]:
+        with pytest.raises(CodeError):
+            cons.ProjectivePointSet(F, 3, [short])
+    # a valid point is still scaled to its canonical form
+    assert cons.ProjectivePointSet(F, 3, [(0, 2, 3)]).points == [(0, 1, 2)]
+
+
 def test_field_of_order_rejects_non_prime_power():
     with pytest.raises(Exception):
         cons.field_of_order(6)
@@ -212,3 +231,149 @@ def test_concatenation_matches_per_symbol_encoding(outer):
     code = outer()
     assert cons.concatenate_with_simplex(code).generator.rows == \
         generator_of(concat_rows(code))
+
+
+# ----------------------------------------------------------------------
+# oracles for the columns cut from the packed simplex: the points of
+# PG(K-1, q) built as tuples and filtered, then ``from_columns``
+# ----------------------------------------------------------------------
+
+SELECTION_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+
+
+def assert_tuple_route(code, field, columns):
+    """``code`` has the given columns and the generator that the tuple
+    route and the schoolbook RREF give them."""
+    want = LinearCode.from_columns(field, columns)
+    assert code.column_points == (len(columns[0]), columns)
+    assert code.generator.rows == want.generator.rows
+    reduced, _ = schoolbook_rref(field, list(zip(*columns)), len(columns))
+    assert list(code.generator.rows) == reduced
+
+
+def _dimension(q, data, most=800):
+    """A K >= 2 whose simplex has at most ``most`` points."""
+    top = 2
+    while (q ** (top + 1) - 1) // (q - 1) <= most:
+        top += 1
+    return data.draw(st.integers(2, top), label="K")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_complement_and_simplex_match_the_tuple_route(data):
+    q = data.draw(st.sampled_from(SELECTION_FIELDS), label="q")
+    field = cons.field_of_order(q)
+    K = _dimension(q, data)
+    assert_tuple_route(cons.simplex(q, K), field, projective_points(field, K))
+    dim = data.draw(st.integers(1, K), label="dim")      # dim < K pads S
+    space = projective_points(field, dim)
+    S = data.draw(st.lists(st.sampled_from(space), min_size=1,
+                           max_size=min(len(space), q ** (K - 1) - 1),
+                           unique=True), label="S")
+    # S given scaled by nonzero scalars, in any order
+    scales = data.draw(st.lists(st.integers(1, q - 1), min_size=len(S),
+                                max_size=len(S)), label="scales")
+    given_points = [tuple(field.mul(c, x) for x in p)
+                    for c, p in zip(scales, S)]
+    deleted = {(0,) * (K - dim) + p for p in S}
+    kept = [p for p in projective_points(field, K) if p not in deleted]
+    want_rank = LinearCode.from_columns(field, kept).k
+    points = cons.ProjectivePointSet(field, dim, given_points)
+    if want_rank != K:
+        with pytest.raises(CodeError, match="rank"):
+            cons.complement(points, K=K)
+        return
+    assert_tuple_route(cons.complement(points, K=K), field, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_simplex_columns_at_any_positions(data):
+    # dense selections are cut from whole rows, sparse ones run by run
+    q = data.draw(st.sampled_from(SELECTION_FIELDS), label="q")
+    field = cons.field_of_order(q)
+    K = _dimension(q, data, most=4000)
+    points = projective_points(field, K)
+    keep = sorted(data.draw(st.sets(st.integers(0, len(points) - 1),
+                                    min_size=1), label="keep"))
+    got = cons._simplex_columns(field, K, cons._runs(keep))
+    assert got.columns() == [points[i] for i in keep]
+
+
+def test_point_index_is_the_sorted_position():
+    for q in (2, 3, 4, 9):
+        field = cons.field_of_order(q)
+        for K in (1, 2, 3, 4):
+            for i, p in enumerate(projective_points(field, K)):
+                assert cons._point_index(q, p) == i
+                assert cons._point_index(q, (0, 0) + p) == i     # padded
+
+
+@pytest.mark.parametrize("k,w", [(4, 2), (5, 3), (6, 2), (6, 3), (7, 4),
+                                 (8, 4), (9, 2), (10, 5), (14, 2), (16, 3)])
+def test_fixed_weight_matches_the_tuple_route(k, w):
+    field = field_make(2, 1)
+    columns = sorted(tuple(1 if i in pos else 0 for i in range(k))
+                     for pos in combinations(range(k), w))
+    code = cons.fixed_weight_anticode(k, w)
+    assert code.k == (k - 1 if w % 2 == 0 else k)   # even w: rank-deficient
+    assert_tuple_route(code, field, columns)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_two_subspace_matches_the_tuple_route(q):
+    field = cons.field_of_order(q)
+    columns = [p for p in projective_points(field, 4)
+               if (p[2] == p[3] == 0) or (p[0] == p[1] == 0)]
+    assert_tuple_route(cons.two_subspace_code(q), field, columns)
+
+
+def ovoid_by_filter(q):
+    """The quadric's points as the builder once found them: every point
+    of PG(3, q) tested against x0 * x1 = f(x2, x3)."""
+    field = cons.field_of_order(q)
+    c0, c1 = cons.smallest_irreducible_quadratic(field)
+
+    def norm_form(a, b):
+        return field.add(
+            field.add(field.mul(a, a), field.mul(c1, field.mul(a, b))),
+            field.mul(c0, field.mul(b, b)))
+    return [p for p in projective_points(field, 4)
+            if field.mul(p[0], p[1]) == norm_form(p[2], p[3])]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_ovoid_solving_matches_the_filter(q):
+    columns = ovoid_by_filter(q)
+    assert len(columns) == q * q + 1
+    assert_tuple_route(cons.ovoid_code(q), cons.field_of_order(q), columns)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_ovoid_evaluates_the_norm_form_once_per_point(q, monkeypatch):
+    # five products per evaluation of f, at the q^2 points (a, b), and
+    # none per point of PG(3, q)
+    calls = [0]
+    mul = GF.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+    monkeypatch.setattr(GF, "mul", counted)
+    cons.smallest_irreducible_quadratic(cons.field_of_order(q))
+    search, calls[0] = calls[0], 0
+    cons.ovoid_code(q)
+    assert calls[0] - search == 5 * q * q
+
+
+def test_complement_memory_stays_small():
+    # the [65528, 16] complement; the tuple route peaked at 23 MiB
+    tracemalloc.start()
+    try:
+        code = cons.complement(cons.dual_bch_code(3), K=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code.n, code.k) == (65528, 16)
+    assert peak < 6 << 20

@@ -1,13 +1,14 @@
 """Field arithmetic, canonical moduli, embeddings, and linear algebra."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticodes import catalog as cat
-from anticodes.constructions import field_of_order, projective_points
+from anticodes.constructions import field_of_order
 from anticodes.gf import (
     GF, FieldError, Matrix, embed, field_make, is_prime, project_to_subfield,
     relative_trace, smallest_irreducible,
@@ -409,6 +410,19 @@ def test_matrix_accepts_bools():
     m = Matrix(F, [[True, False, True], [False, True, True]])
     assert m.rank() == 2
     assert list(m.rows) == [(True, False, True), (False, True, True)]
+
+
+def projective_points(field, k):
+    """All canonical projective points of F_q^k (first nonzero coord = 1),
+    sorted by integer encoding, most-significant coordinate first: the
+    later the leading 1, the smaller the point, and the coordinates after
+    it count up in base q. The oracle for the packed simplex columns."""
+    pts = []
+    for lead in range(k - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        tails = product(range(field.q), repeat=k - lead - 1)
+        pts.extend(map(head.__add__, tails))
+    return pts
 
 
 def _sorted_projective_points(field, k):

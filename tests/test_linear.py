@@ -19,6 +19,7 @@ from anticodes.constructions import (
     complement, complementary_mds_trivial, complementary_rs,
     fixed_weight_anticode, kasami_code, prime_power, rs_code, simplex,
 )
+from anticodes.report import code_report
 
 F2 = field_make(2, 1)
 ORACLE_CAP = 1 << 12
@@ -243,6 +244,33 @@ def test_kasami_4_is_minimal():
     assert code.is_minimal_exact() == (True, None)
     # the walk that found it minimal also counted the weights
     assert code._wd == kasami_code(4).weight_distribution()
+
+
+@pytest.mark.parametrize("p,e,rows", [
+    (2, 1, [[1, 1, 0], [0, 0, 1]]),
+    (3, 1, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 0, 0]]),
+    (2, 2, [[1, 0, 1, 2], [0, 1, 1, 3], [0, 0, 0, 1]]),
+], ids=["q2", "q3", "q4"])
+def test_analyze_walks_a_nonminimal_code_once(p, e, rows, monkeypatch):
+    F = field_make(p, e)
+    code = LinearCode.from_generator(F, rows)
+    walked = [0]
+    classes = linear._classes
+
+    def counted(*args):
+        for mask in classes(*args):
+            walked[0] += 1
+            yield mask
+    monkeypatch.setattr(linear, "_classes", counted)
+    report = code_report(code)
+    assert report.minimal_exact is False
+    assert walked[0] == (F.q ** code.k - 1) // (F.q - 1)
+    assert code.weight_distribution() == span_distribution(code)
+    # the witness is the first failing class's, as when the walk stops there
+    monkeypatch.setattr(linear, "ENUM_CAP", 1)
+    fresh = LinearCode.from_generator(F, rows)
+    assert fresh.is_minimal_exact() == (False, report.minimal_witness)
+    assert fresh._wd is None
 
 
 def test_minimality_stores_no_distribution_over_the_enum_cap(monkeypatch):
