@@ -125,30 +125,8 @@ def cmd_wd_transform(args) -> int:
     return EXIT_OK
 
 
-def _check_printable(n: int, l: int):
-    """CapExceeded when a number of the l-certificate of a length-n code
-    could have more decimal digits than Python converts to text
-    (``sys.get_int_max_str_digits``, set by PYTHONINTMAXSTRDIGITS).
-
-    Each |theta_i| is at most n, so every walk count and the collinearity
-    determinant is below 8 n^(l+1). The powers are compared exactly only
-    when bit lengths cannot settle it: 2^(3d) < 10^d < 2^(4d).
-    """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not digits or l < 3 or l % 2 == 0:    # no limit, or l is refused later
-        return
-    bits = n.bit_length()
-    if (l + 1) * bits + 3 <= 3 * digits:
-        return
-    if (l + 1) * (bits - 1) >= 4 * digits or 8 * n ** (l + 1) >= 10 ** digits:
-        raise CapExceeded(
-            f"walk counts for l={l}, n={n} could exceed {digits} decimal "
-            "digits, over the cap of integer printing (PYTHONINTMAXSTRDIGITS)")
-
-
 def cmd_swrg_verify(args) -> int:
     code = codefile.load_code(args.file)
-    _check_printable(code.n, args.l)
     cert = verify_swrg(code, l=args.l)
     _emit(_render(cert.to_dict(), args.format), args.out)
     return EXIT_OK if cert.verdict == "is_l_swrg" else EXIT_MISMATCH

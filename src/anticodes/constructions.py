@@ -11,12 +11,11 @@ construction is byte-reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .gf import (GF, FieldError, Matrix, _check_row, _lane_tables, _Packing,
-                 field_make, project_to_subfield, relative_trace)
+from .gf import (GF, FieldError, check_row, field_make, project_to_subfield,
+                 relative_trace, simplex_columns)
 from .linear import (CodeError, LinearCode, WeightDistribution,
                      canonical_point)
 
@@ -59,7 +58,7 @@ class ProjectivePointSet:
             if len(p) != self.dim:
                 raise CodeError(
                     f"point {p} has {len(p)} coordinates, expected {self.dim}")
-        _check_row(self.field, list(chain.from_iterable(points)))
+        check_row(self.field, list(chain.from_iterable(points)))
         canon = []
         seen = set()
         for p in points:
@@ -88,9 +87,10 @@ class ProjectivePointSet:
 # sorted by their integer encoding, the topmost coordinate most
 # significant: the later the leading 1, the smaller the point, and the t
 # coordinates after it count up in base q. So the block of points with t
-# coordinates after their leading 1 starts at (q^t - 1)/(q - 1), and each
-# builder below takes its columns, in that order, from the rows of this
-# matrix, built in closed form.
+# coordinates after their leading 1 starts at (q^t - 1)/(q - 1). The
+# simplex and its complements take their columns, in that order, from
+# the rows of this matrix, built packed in closed form by
+# ``gf.simplex_columns``.
 # ----------------------------------------------------------------------
 
 def _point_index(q: int, point) -> int:
@@ -105,96 +105,6 @@ def _point_index(q: int, point) -> int:
     return index + (q ** (len(point) - lead - 1) - 1) // (q - 1)
 
 
-def _runs(positions):
-    """Sorted distinct positions as [start, end) runs of consecutive ones."""
-    runs = []
-    for x in positions:
-        if runs and runs[-1][1] == x:
-            runs[-1][1] = x + 1
-        else:
-            runs.append([x, x + 1])
-    return runs
-
-
-def _simplex_columns(field: GF, K: int, runs) -> Matrix:
-    """The K-row matrix whose columns are the canonical points of
-    PG(K-1, q) at the positions of ``runs`` (sorted, disjoint [start, end)
-    ranges), with every row packed.
-
-    In the block of points with their leading 1 at coordinate lead, row i
-    is 0 for i < lead and 1 for i = lead. For i > lead it runs through
-    0, ..., q - 1, each value repeated r = q^(K-1-i) times, and repeats
-    that period of q * r points, which divides the block. So the whole
-    row i is (q^(K-1-i) - 1)/(q - 1) zeros, r ones, and the period
-    repeated (q^i - 1)/(q - 1) times. A row is a string of lane bit
-    strings, low bit first, made by string repetition and read as one
-    int. When the runs keep at least 1/64 of the points they are sliced
-    out of the whole rows; a sparser selection builds each run alone,
-    in O(q) pieces per block it meets. Nothing is done per point of
-    PG(K-1, q).
-    """
-    q = field.q
-    _, W, _, _, bits, _ = _lane_tables(field)
-    lane = [b[::-1] for b in bits]
-    starts = [(q ** t - 1) // (q - 1) for t in range(K + 1)]
-    length = sum(b - a for a, b in runs)
-    dense = 64 * length >= starts[K]
-    spans = [(a * W, b * W) for a, b in runs]
-    rows = []
-    for i in range(K):
-        r = q ** (K - 1 - i)
-        if dense:
-            whole = lane[0] * starts[K - 1 - i] + lane[1] * r
-            if i:                   # row 0 has no period, which would be q^K long
-                whole += "".join(lane[v] * r for v in range(q)) * starts[i]
-            row = "".join([whole[a:b] for a, b in spans])
-        else:
-            row = _sparse_row(q, W, lane, starts, runs, i)
-        rows.append(int(row[::-1] or "0", 2))
-    return Matrix._of_packed(field, _Packing(field, length), tuple(rows))
-
-
-def _sparse_row(q, W, lane, starts, runs, i):
-    """Row i of ``_simplex_columns`` at the positions of ``runs``, each run
-    cut from the blocks it meets; block t, the points with t coordinates
-    after their leading 1, starts at starts[t]."""
-    K = len(starts) - 1
-    r = q ** (K - 1 - i)
-    period, pattern, parts = q * r, None, []
-    for a, b in runs:
-        t = bisect_right(starts, a) - 1
-        while a < b:
-            end = min(b, starts[t + 1])
-            x, y = a - starts[t], end - starts[t]
-            if i <= K - 1 - t:                          # i <= lead
-                parts.append(lane[i == K - 1 - t] * (y - x))
-            elif y - x >= period:
-                if pattern is None:
-                    pattern = "".join(lane[v] * r for v in range(q))
-                s = x % period
-                parts.append((pattern * ((s + y - x) // period + 1))
-                             [s * W:(s + y - x) * W])
-            else:                        # at most q + 1 values, each repeated
-                while x < y:
-                    cut = min(y, (x // r + 1) * r)
-                    parts.append(lane[x // r % q] * (cut - x))
-                    x = cut
-            a, t = end, t + 1
-    return "".join(parts)
-
-
-def _code_from_runs(field: GF, K: int, runs, label: str) -> LinearCode:
-    return LinearCode.from_column_matrix(
-        field, _simplex_columns(field, K, runs), label=label)
-
-
-def _code_from_points(field: GF, K: int, points, label: str) -> LinearCode:
-    """The code whose columns are the given canonical points of
-    PG(K-1, q), in sorted order."""
-    positions = sorted(_point_index(field.q, p) for p in points)
-    return _code_from_runs(field, K, _runs(positions), label)
-
-
 # ----------------------------------------------------------------------
 # simplex and complements
 # ----------------------------------------------------------------------
@@ -206,7 +116,8 @@ def simplex(q: int, k: int) -> LinearCode:
     n = (q ** k - 1) // (q - 1)
     if n > LENGTH_CAP:
         raise CodeError(f"simplex length {n} over the cap")
-    return _code_from_runs(field, k, [(0, n)], label=f"simplex({q},{k})")
+    return LinearCode.from_column_matrix(field, simplex_columns(field, k),
+                                         label=f"simplex({q},{k})")
 
 
 def complement(source, K: int) -> LinearCode:
@@ -230,12 +141,11 @@ def complement(source, K: int) -> LinearCode:
     n = len(pts.points)
     if n >= q ** (K - 1):
         raise CodeError(f"complement needs n < q^(K-1), got n={n}, K={K}")
-    # the runs of kept positions between the deleted ones
     cut = sorted(_point_index(q, p) for p in pts.points)
-    ends = cut + [(q ** K - 1) // (q - 1)]
-    runs = [(a, b) for a, b in zip([0] + [c + 1 for c in cut], ends) if a < b]
     label = getattr(source, "label", "") or "points"
-    code = _code_from_runs(field, K, runs, label=f"complement({label}, K={K})")
+    code = LinearCode.from_column_matrix(
+        field, simplex_columns(field, K, cut),
+        label=f"complement({label}, K={K})")
     if code.k != K:
         raise CodeError(f"complement rank {code.k} != {K}")
     return code
@@ -325,11 +235,10 @@ def fixed_weight_anticode(k: int, w: int) -> LinearCode:
     lexicographic order. Rank is k-1 for even w and k for odd w."""
     if not 2 <= w <= k - 1:
         raise CodeError(f"need 2 <= w <= k-1, got w={w}, k={k}")
-    # a binary point's position is its value, coordinate 0 topmost, less 1
-    positions = sorted(sum(1 << k - 1 - i for i in pos) - 1
-                       for pos in combinations(range(k), w))
-    return _code_from_runs(field_make(2, 1), k, _runs(positions),
-                           label=f"fixed-weight({k},{w})")
+    cols = sorted(tuple(1 if i in pos else 0 for i in range(k))
+                  for pos in combinations(range(k), w))
+    return LinearCode.from_columns(field_make(2, 1), cols,
+                                   label=f"fixed-weight({k},{w})")
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +251,8 @@ def two_subspace_code(q: int) -> LinearCode:
     field = field_of_order(q)
     line = [(0, 1)] + [(1, a) for a in range(q)]       # the points of PG(1, q)
     points = [(0, 0) + p for p in line] + [p + (0, 0) for p in line]
-    code = _code_from_points(field, 4, points, label=f"two-subspace({q})")
+    code = LinearCode.from_columns(field, sorted(points),
+                                   label=f"two-subspace({q})")
     if code.k != 4:
         raise CodeError("two-subspace rank != 4")
     return code
@@ -374,7 +284,8 @@ def ovoid_code(q: int) -> LinearCode:
     # others are (1, f(a, b), a, b)
     points = [(0, 1, 0, 0)] + [(1, norm_form(a, b), a, b)
                                for a in range(q) for b in range(q)]
-    code = _code_from_points(field, 4, points, label=f"ovoid({q})")
+    code = LinearCode.from_columns(field, sorted(points),
+                                   label=f"ovoid({q})")
     if code.k != 4:
         raise CodeError("ovoid rank != 4")
     return code

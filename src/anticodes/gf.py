@@ -443,7 +443,7 @@ class _Packing:
 # linear algebra over GF
 # ----------------------------------------------------------------------
 
-def _check_row(field: GF, row):
+def check_row(field: GF, row):
     """``field.check`` on every entry of a row, at C speed; on a row that
     fails, ``field.check`` itself raises the FieldError."""
     if row and not (all(issubclass(t, int) for t in set(map(type, row)))
@@ -497,7 +497,7 @@ class Matrix:
             return
         rows = [tuple(r) for r in rows]
         for r in rows:
-            _check_row(field, r)
+            check_row(field, r)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix")
@@ -600,3 +600,42 @@ class Matrix:
             basis.append(v)
         return Matrix._of_packed(F, lay, tuple(basis)) if basis \
             else Matrix(F, [])
+
+
+# ----------------------------------------------------------------------
+# the columns of PG(K-1, q), packed
+# ----------------------------------------------------------------------
+
+def simplex_columns(field: GF, K: int, deleted=()) -> Matrix:
+    """The K-row matrix whose columns are the canonical points of
+    PG(K-1, q) (first nonzero coordinate 1), sorted by their integer
+    encoding with the topmost coordinate most significant, less the
+    columns at the sorted distinct positions ``deleted``.
+
+    The block of points with their leading 1 at coordinate lead starts at
+    (q^(K-1-lead) - 1)/(q - 1). In it row i is 0 for i < lead and 1 for
+    i = lead. For i > lead it runs through 0, ..., q - 1, each value
+    repeated r = q^(K-1-i) times, and repeats that period of q * r
+    points, which divides the block. So the whole row i is
+    (q^(K-1-i) - 1)/(q - 1) zeros, r ones, and the period repeated
+    (q^i - 1)/(q - 1) times: a string of lane bit strings (low bit
+    first) made by string repetition. The deleted columns are cut out of
+    it with len(deleted) + 1 slices and the rest is read as one int, so
+    nothing is done per point of PG(K-1, q).
+    """
+    q = field.q
+    _, W, _, _, bits, _ = _lane_tables(field)
+    lane = [b[::-1] for b in bits]
+    total = (q ** K - 1) // (q - 1)
+    kept = zip([0] + [c + 1 for c in deleted], list(deleted) + [total])
+    spans = [(a * W, b * W) for a, b in kept if a < b]
+    rows = []
+    for i in range(K):
+        r = q ** (K - 1 - i)
+        row = lane[0] * ((r - 1) // (q - 1)) + lane[1] * r
+        if i:                       # row 0 has no period, which would be q^K long
+            row += ("".join(lane[v] * r for v in range(q))
+                    * ((q ** i - 1) // (q - 1)))
+        rows.append(int("".join([row[a:b] for a, b in spans])[::-1] or "0", 2))
+    return Matrix._of_packed(field, _Packing(field, total - len(deleted)),
+                             tuple(rows))

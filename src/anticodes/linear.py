@@ -258,8 +258,8 @@ class LinearCode:
 def canonical_point(field: GF, vec):
     """Scale so the first nonzero coordinate is 1; None for the zero vector."""
     for x in vec:
-        if x == 1:
-            return tuple(vec)
+        if x == 1:              # canonical: int() gives what field.mul would
+            return tuple(map(int, vec))
         if x:
             inv = field.inv(x)
             return tuple(field.mul(inv, y) for y in vec)

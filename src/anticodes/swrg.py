@@ -16,6 +16,7 @@ counts cost O(1) big-integer operations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import linear
@@ -31,6 +32,28 @@ def _check_walk_length(l: int, n: int):
     size = l * n.bit_length()
     if size > WALK_CAP:
         raise CapExceeded(f"n^l of {size} bits (l * bits of n) over the cap")
+
+
+def _check_printable(n: int, l: int):
+    """CapExceeded when a number of the l-certificate of a length-n code
+    could have more decimal digits than Python converts to text
+    (``sys.get_int_max_str_digits``, set by PYTHONINTMAXSTRDIGITS), so
+    the certificate could not be written out.
+
+    Each |theta_i| is at most n, so every walk count and the collinearity
+    determinant is below 8 n^(l+1). The powers are compared exactly only
+    when bit lengths cannot settle it: 2^(3d) < 10^d < 2^(4d).
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:                           # no limit
+        return
+    bits = n.bit_length()
+    if (l + 1) * bits + 3 <= 3 * digits:
+        return
+    if (l + 1) * (bits - 1) >= 4 * digits or 8 * n ** (l + 1) >= 10 ** digits:
+        raise CapExceeded(
+            f"walk counts for l={l}, n={n} could exceed {digits} decimal "
+            "digits, over the cap of integer printing (PYTHONINTMAXSTRDIGITS)")
 
 
 def spectrum_from_wd(wd: WeightDistribution) -> dict:
@@ -124,13 +147,15 @@ def verify_swrg(code: LinearCode, l: int = 3) -> SwrgCertificate:
     three-weight projective code from its counted weight distribution.
 
     Over the enumeration cap nothing would check a distribution cached in
-    a code file, so the code must be under it.
+    a code file, so the code must be under it. Every check is made before
+    the distribution is counted.
     """
     if code.field.q != 2:
         raise CodeError("coset graph needs a binary code")
     if not code.is_projective():
         raise CodeError("coset graph needs a projective code")
     _check_walk_length(l, code.n)
+    _check_printable(code.n, l)
     if 2 ** code.k > linear.ENUM_CAP:
         raise CapExceeded(f"q^k = {2 ** code.k} exceeds enumeration cap, "
                           "so the weight distribution cannot be counted")

@@ -151,20 +151,33 @@ def test_swrg_verify_refuses_counts_too_long_to_print(tmp_path, capsys,
     # 56^2501 has more than the 4300 decimal digits Python prints
     comp = tmp_path / "c56.json"
     codefile.save_code(cons.complement(cons.dual_bch_code(3), K=6), comp)
-    certified = []
-    real = cli.verify_swrg
-    monkeypatch.setattr(cli, "verify_swrg",
-                        lambda *a, **kw: certified.append(a) or real(*a, **kw))
+    counted = []
+    real = linear.LinearCode.weight_distribution
+    monkeypatch.setattr(linear.LinearCode, "weight_distribution",
+                        lambda self: counted.append(self) or real(self))
     for fmt in ("json", "csv", "text"):
         assert run(["swrg-verify", str(comp), "--l", "2501",
                     "--format", fmt]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-    assert not certified                       # refused before any work
+    assert not counted                         # refused before the walk
     # just under the limit, the counts print and parse back
     assert run(["swrg-verify", str(comp), "--l", "2457"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["l"] == 2457 and len(str(doc["walk_counts"][0])) > 4000
+
+
+def test_swrg_verify_reports_a_bad_code_before_the_print_limit(tmp_path,
+                                                              capsys):
+    # what is wrong with the code is reported whatever l is
+    for name, code in (("ternary", cons.simplex(3, 3)),
+                       ("repeated", linear.LinearCode.from_columns(
+                           cons.field_of_order(2),
+                           [(1, 0), (1, 0), (0, 1), (1, 1)]))):
+        path = tmp_path / f"{name}.json"
+        codefile.save_code(code, path)
+        assert run(["swrg-verify", str(path), "--l", "2501"]) == 2
+        assert "coset graph needs" in capsys.readouterr().err
 
 
 def test_swrg_verify_refuses_an_unchecked_distribution(tmp_path, capsys,

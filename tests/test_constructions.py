@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticodes import constructions as cons
+from anticodes import gf
 from anticodes.gf import (GF, FieldError, field_make, project_to_subfield,
                           relative_trace)
 from anticodes.linear import CodeError, LinearCode, WeightDistribution
@@ -289,16 +290,17 @@ def test_complement_and_simplex_match_the_tuple_route(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_simplex_columns_at_any_positions(data):
-    # dense selections are cut from whole rows, sparse ones run by run
+def test_simplex_columns_less_any_positions(data):
     q = data.draw(st.sampled_from(SELECTION_FIELDS), label="q")
     field = cons.field_of_order(q)
     K = _dimension(q, data, most=4000)
     points = projective_points(field, K)
-    keep = sorted(data.draw(st.sets(st.integers(0, len(points) - 1),
-                                    min_size=1), label="keep"))
-    got = cons._simplex_columns(field, K, cons._runs(keep))
-    assert got.columns() == [points[i] for i in keep]
+    deleted = sorted(data.draw(st.sets(st.integers(0, len(points) - 1)),
+                               label="deleted"))
+    got = gf.simplex_columns(field, K, deleted)
+    assert got.ncols == len(points) - len(deleted)
+    assert got.columns() == [p for i, p in enumerate(points)
+                             if i not in deleted]
 
 
 def test_point_index_is_the_sorted_position():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from anticodes import linear
 from anticodes.gf import field_make
 from anticodes.linear import (
-    CapExceeded, CodeError, LinearCode, WeightDistribution,
+    CapExceeded, CodeError, LinearCode, WeightDistribution, canonical_point,
 )
 from anticodes.constructions import (
     complement, complementary_mds_trivial, complementary_rs,
@@ -61,6 +61,15 @@ def pairwise_minimal(code, words):
     return not any(small <= big and not proportional(code.field, u, v)
                    for small in groups for big in groups
                    for u in groups[small] for v in groups[big])
+
+
+def test_canonical_point_scales_to_ints():
+    F4 = field_make(2, 2)
+    for vec, want in [((0, 2, 3), (0, 1, F4.div(3, 2))), ((0, 1, 3), (0, 1, 3)),
+                      ((True, False, True), (1, 0, 1)), ((0, 0, 0), None)]:
+        got = canonical_point(F4, vec)
+        assert got == want
+        assert got is None or all(type(x) is int for x in got)
 
 
 def test_weight_distribution_validation():
