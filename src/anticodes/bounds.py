@@ -6,7 +6,7 @@ Everything is exact integer arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -42,10 +42,15 @@ def plotkin_anticode_floor(q: int, n: int) -> int:
 
 
 def erdos_kleitman(n: int, delta: int) -> int:
-    """Binary anticode size bound: sum of C(n, i) for i <= floor(delta/2)."""
+    """Binary anticode size bound: sum of C(n, i) for i <= floor(delta/2),
+    each binomial from the last, C(n, i+1) = C(n, i)(n - i)/(i + 1)."""
     if not 0 <= delta <= n:
         raise ValueError("need 0 <= delta <= n")
-    return sum(math.comb(n, i) for i in range(delta // 2 + 1))
+    total, term = 0, 1
+    for i in range(delta // 2 + 1):
+        total += term
+        term = term * (n - i) // (i + 1)
+    return total
 
 
 def code_anticode_check(m_code: int, m_anticode: int, q: int, n: int) -> bool:
@@ -67,7 +72,7 @@ class BoundsReport:
     antigriesmer_holds: bool
     antigriesmer_applicable: bool  # n < q^(k-1)
     plotkin_anticode_floor: int
-    ek_bound: int | None  # binary only
+    ek_bound: int | None  # binary only, and None past the decimal limit
     prop_delta_ge_k: bool
 
     def to_dict(self):
@@ -75,6 +80,10 @@ class BoundsReport:
 
 
 def bounds_report(q: int, n: int, k: int, d: int, delta: int) -> BoundsReport:
+    ek = erdos_kleitman(n, delta) if q == 2 else None
+    limit = sys.get_int_max_str_digits()          # 0 for no limit
+    if ek is not None and limit and ek >= 10 ** limit:
+        ek = None                                 # Python could not print it
     gs, gd = griesmer(q, k, d, n)
     ags, agd, holds = antigriesmer(q, k, delta, n)
     return BoundsReport(
@@ -83,7 +92,7 @@ def bounds_report(q: int, n: int, k: int, d: int, delta: int) -> BoundsReport:
         antigriesmer_sum=ags, antigriesmer_defect=agd, antigriesmer_holds=holds,
         antigriesmer_applicable=n < q ** (k - 1),
         plotkin_anticode_floor=plotkin_anticode_floor(q, n),
-        ek_bound=erdos_kleitman(n, delta) if q == 2 else None,
+        ek_bound=ek,
         prop_delta_ge_k=delta >= k,
     )
 

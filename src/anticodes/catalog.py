@@ -10,7 +10,8 @@ Two verification modes:
       is out of scope; its typed weight distribution is transformed and
       compared against the recorded complement distribution.
 
-Entries flagged ``known_discrepancy`` are reported but never fail a run.
+Entries flagged ``known_discrepancy`` are reported but never fail a run;
+a row that raises gets the ``error`` verdict and fails it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from importlib import resources
 
 from . import constructions as cons
 from .bounds import antigriesmer
-from .linear import LinearCode, WeightDistribution
+from .gf import FieldError
+from .linear import CapExceeded, CodeError, LinearCode, WeightDistribution
 
 
 class ManifestError(ValueError):
@@ -49,11 +51,14 @@ class EntryResult:
     known_discrepancy: bool
     mismatches: list = field(default_factory=list)
     note: str = ""
+    error: bool = False           # the row raised; its message is a mismatch
 
     @property
     def verdict(self) -> str:
         if self.ok:
             return "pass"
+        if self.error:
+            return "error"
         return "known-discrepancy" if self.known_discrepancy else "FAIL"
 
 
@@ -165,46 +170,46 @@ def verify_entry(entry: CatalogEntry,
                  builds: dict | None = None) -> EntryResult:
     """Check one row. ``builds`` lets the rows of one catalog pass share
     the codes they build (and their cached distributions); every row still
-    runs all of its own checks."""
+    runs all of its own checks. A CodeError, FieldError or CapExceeded
+    ends the row with the ``error`` verdict and the exception's message."""
     result = EntryResult(entry.id, ok=True,
                          known_discrepancy=entry.known_discrepancy,
                          note=entry.note)
+    try:
+        _check_entry(entry, result, {} if builds is None else builds)
+    except (CodeError, FieldError, CapExceeded) as exc:
+        result.ok, result.error = False, True
+        result.mismatches.append(str(exc))
+    return result
+
+
+def _check_entry(entry: CatalogEntry, result: EntryResult, builds: dict):
+    """Run the row's checks, recording each mismatch in ``result``."""
     exp = entry.expect
     if entry.mode == "construct_and_enumerate":
-        base, code = _built(entry.build, {} if builds is None else builds)
-        K = entry.build.get("complement_at")
+        base, code = _built(entry.build, builds)
         wd = code.weight_distribution()
-        _compare(result, "q", code.field.q, exp.get("q"))
-        _compare(result, "n", code.n, exp.get("n"))
-        _compare(result, "k", code.k, exp.get("k"))
-        _compare(result, "d", wd.min_weight, exp.get("d"))
-        _compare(result, "weights", wd.nonzero_weights(), exp.get("weights"))
-        if "counts" in exp:
-            want = {int(w): c for w, c in exp["counts"].items()}
-            _compare(result, "counts", dict(wd.counts), {0: 1, **want})
-        if "antigriesmer_defect" in exp:
-            _, defect, _ = antigriesmer(code.field.q, code.k,
-                                        wd.max_weight, code.n)
-            _compare(result, "antigriesmer_defect", defect,
-                     exp["antigriesmer_defect"])
-        if K is not None:
-            predicted = cons.transform_wd(base.weight_distribution(), K)
-            _compare(result, "transform-vs-enumeration",
-                     dict(wd.counts), dict(predicted.counts))
     elif entry.mode == "transform_only":
-        predicted = cons.transform_wd(_typed_wd(entry.base), entry.K)
-        _compare(result, "q", predicted.q, exp.get("q"))
-        _compare(result, "n", predicted.n, exp.get("n"))
-        _compare(result, "k", predicted.k, exp.get("k"))
-        _compare(result, "d", predicted.min_weight, exp.get("d"))
-        _compare(result, "weights", predicted.nonzero_weights(),
-                 exp.get("weights"))
-        if "counts" in exp:
-            want = {int(w): c for w, c in exp["counts"].items()}
-            _compare(result, "counts", dict(predicted.counts), {0: 1, **want})
+        wd = cons.transform_wd(_typed_wd(entry.base), entry.K)
     else:
         raise ManifestError(f"unknown mode {entry.mode!r} in {entry.id}")
-    return result
+    for name, got in [("q", wd.q), ("n", wd.n), ("k", wd.k),
+                      ("d", wd.min_weight), ("weights", wd.nonzero_weights())]:
+        _compare(result, name, got, exp.get(name))
+    if "counts" in exp:
+        want = {int(w): c for w, c in exp["counts"].items()}
+        _compare(result, "counts", dict(wd.counts), {0: 1, **want})
+    if entry.mode == "transform_only":
+        return
+    if "antigriesmer_defect" in exp:
+        _, defect, _ = antigriesmer(wd.q, wd.k, wd.max_weight, wd.n)
+        _compare(result, "antigriesmer_defect", defect,
+                 exp["antigriesmer_defect"])
+    K = entry.build.get("complement_at")
+    if K is not None:
+        predicted = cons.transform_wd(base.weight_distribution(), K)
+        _compare(result, "transform-vs-enumeration",
+                 dict(wd.counts), dict(predicted.counts))
 
 
 _KEYS = {f.name for f in fields(CatalogEntry)}
@@ -260,8 +265,8 @@ def load_manifest(path=None) -> list:
 
 
 def verify_catalog(entries=None):
-    """(results, summary); summary['failed'] counts only unflagged rows.
-    The rows run one after another."""
+    """(results, summary); summary['failed'] counts the rows that FAIL and
+    the rows that raised an error. The rows run one after another."""
     if entries is None:
         entries = load_manifest()
     # each distinct build and complement is made once in this pass and
@@ -275,12 +280,11 @@ def verify_catalog(entries=None):
         results.append(verify_entry(entry, builds))
         for key in [key for key in builds if last_row[key] == i]:
             del builds[key]
-    failed = [r for r in results if not r.ok and not r.known_discrepancy]
-    flagged = [r for r in results if not r.ok and r.known_discrepancy]
+    verdicts = [r.verdict for r in results]
     summary = {
         "total": len(results),
-        "passed": sum(r.ok for r in results),
-        "failed": len(failed),
-        "known_discrepancy": len(flagged),
+        "passed": verdicts.count("pass"),
+        "failed": verdicts.count("FAIL") + verdicts.count("error"),
+        "known_discrepancy": verdicts.count("known-discrepancy"),
     }
     return results, summary

@@ -4,9 +4,9 @@ trivial-MDS complements, fixed-weight column codes, two-subspace and
 elliptic-quadric codes, the two trace-code families, and concatenation
 with the binary simplex inner code.
 
-Column orderings are fixed everywhere (canonical representatives sorted by
-the integer encoding with the topmost coordinate most significant) so every
-construction is byte-reproducible.
+Column orderings are fixed everywhere so every construction is
+byte-reproducible. The points of PG(K-1, q) are in the order of
+``gf.simplex_columns``, and ``gf.point_position`` finds a point in it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import chain, combinations
 from .gf import (GF, FieldError, check_row, field_make, project_to_subfield,
                  relative_trace, simplex_columns)
 from .linear import (CodeError, LinearCode, WeightDistribution,
-                     canonical_point)
+                     point_positions)
 
 LENGTH_CAP = 1 << 20
 
@@ -43,66 +43,24 @@ def field_of_order(q: int) -> GF:
 
 @dataclass
 class ProjectivePointSet:
-    """A duplicate-free set of canonical projective points, order fixed.
+    """A duplicate-free set of projective points, order fixed.
 
     Each point must have ``dim`` coordinates, each an element code of the
-    field; a point is stored scaled to its canonical form.
+    field. The points are kept as given, and ``positions`` holds each
+    one's position (``gf.point_position``).
     """
     field: GF
     dim: int
     points: list
 
     def __post_init__(self):
-        points = [tuple(p) for p in self.points]
-        for p in points:
+        self.points = [tuple(p) for p in self.points]
+        for p in self.points:
             if len(p) != self.dim:
                 raise CodeError(
                     f"point {p} has {len(p)} coordinates, expected {self.dim}")
-        check_row(self.field, list(chain.from_iterable(points)))
-        canon = []
-        seen = set()
-        for p in points:
-            cp = canonical_point(self.field, p)
-            if cp is None:
-                raise CodeError("zero column in a projective point set")
-            if cp in seen:
-                raise CodeError(f"repeated projective point {cp}")
-            seen.add(cp)
-            canon.append(cp)
-        self.points = canon
-
-    @classmethod
-    def from_code(cls, code: LinearCode) -> "ProjectivePointSet":
-        if code.column_points is not None:
-            dim, pts = code.column_points
-        else:
-            dim, pts = code.k, code.generator.columns()
-        return cls(code.field, dim, list(pts))
-
-
-# ----------------------------------------------------------------------
-# columns cut from the packed simplex
-#
-# The canonical points of PG(K-1, q) (first nonzero coordinate 1) are
-# sorted by their integer encoding, the topmost coordinate most
-# significant: the later the leading 1, the smaller the point, and the t
-# coordinates after it count up in base q. So the block of points with t
-# coordinates after their leading 1 starts at (q^t - 1)/(q - 1). The
-# simplex and its complements take their columns, in that order, from
-# the rows of this matrix, built packed in closed form by
-# ``gf.simplex_columns``.
-# ----------------------------------------------------------------------
-
-def _point_index(q: int, point) -> int:
-    """The position of a canonical point among the sorted points of its
-    space: (q^t - 1)/(q - 1) plus the tail after its leading 1 read in
-    base q. Leading zeros, which pad a point to a larger dimension, do not
-    change it."""
-    lead = next(i for i, x in enumerate(point) if x)
-    index = 0
-    for x in point[lead + 1:]:
-        index = index * q + x
-    return index + (q ** (len(point) - lead - 1) - 1) // (q - 1)
+        check_row(self.field, list(chain.from_iterable(self.points)))
+        self.positions = point_positions(self.field, self.points)
 
 
 # ----------------------------------------------------------------------
@@ -124,27 +82,29 @@ def complement(source, K: int) -> LinearCode:
     """Delete the source's column set from the dimension-K simplex columns.
 
     ``source`` is a LinearCode or a ProjectivePointSet; for K above the
-    source's ambient dimension the points are embedded by prefixing zeros.
+    source's ambient dimension the points are embedded by prefixing zeros,
+    which keeps their positions.
     """
-    pts = source if isinstance(source, ProjectivePointSet) \
-        else ProjectivePointSet.from_code(source)
-    if (K < pts.dim and isinstance(source, LinearCode)
-            and K >= source.k):
-        # ambient coordinates are redundant; use coordinates in the
-        # row-space basis instead
-        pts = ProjectivePointSet(source.field, source.k,
-                                 source.generator.columns())
-    field = pts.field
+    field = source.field
+    if isinstance(source, ProjectivePointSet):
+        dim, positions = source.dim, source.positions
+    else:
+        ambient = source.column_points
+        if ambient is None or ambient[0] > K >= source.k:
+            # no ambient columns, or redundant ambient coordinates: use
+            # coordinates in the row-space basis instead
+            ambient = source.k, zip(*source.generator.rows)
+        dim, columns = ambient
+        positions = point_positions(field, columns)
     q = field.q
-    if K < pts.dim:
-        raise CodeError(f"lift dimension {K} below ambient dimension {pts.dim}")
-    n = len(pts.points)
+    if K < dim:
+        raise CodeError(f"lift dimension {K} below ambient dimension {dim}")
+    n = len(positions)
     if n >= q ** (K - 1):
         raise CodeError(f"complement needs n < q^(K-1), got n={n}, K={K}")
-    cut = sorted(_point_index(q, p) for p in pts.points)
     label = getattr(source, "label", "") or "points"
     code = LinearCode.from_column_matrix(
-        field, simplex_columns(field, K, cut),
+        field, simplex_columns(field, K, sorted(positions)),
         label=f"complement({label}, K={K})")
     if code.k != K:
         raise CodeError(f"complement rank {code.k} != {K}")

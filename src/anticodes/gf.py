@@ -606,11 +606,35 @@ class Matrix:
 # the columns of PG(K-1, q), packed
 # ----------------------------------------------------------------------
 
+def point_position(field: GF, vec):
+    """The position of vec's projective point among the columns of
+    ``simplex_columns(field, len(vec))``; None for the zero vector.
+
+    The point scaled to a leading 1, with t coordinates after it, is at
+    (q^t - 1)/(q - 1) plus those t coordinates read in base q. Leading
+    zeros, which pad a point to a larger dimension, do not change it.
+    """
+    for lead, x in enumerate(vec):
+        if x:
+            break
+    else:
+        return None
+    tail, q = vec[lead + 1:], field.q
+    if x != 1:
+        inv = field.inv(x)
+        tail = [field.mul(inv, y) for y in tail]
+    index = 0
+    for y in tail:
+        index = index * q + y
+    return index + (q ** len(tail) - 1) // (q - 1)
+
+
 def simplex_columns(field: GF, K: int, deleted=()) -> Matrix:
     """The K-row matrix whose columns are the canonical points of
     PG(K-1, q) (first nonzero coordinate 1), sorted by their integer
     encoding with the topmost coordinate most significant, less the
-    columns at the sorted distinct positions ``deleted``.
+    columns at the sorted distinct positions ``deleted``
+    (``point_position`` gives a point's position).
 
     The block of points with their leading 1 at coordinate lead starts at
     (q^(K-1-lead) - 1)/(q - 1). In it row i is 0 for i < lead and 1 for

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from functools import cached_property
 
-from .gf import GF, Matrix, _Packing
+from .gf import GF, Matrix, _Packing, point_position
 
 ENUM_CAP = int(os.environ.get("ANTICODES_ENUM_CAP", 1 << 24))
 MINIMAL_CAP = int(os.environ.get("ANTICODES_MINIMAL_CAP", 1 << 20))
@@ -186,13 +186,10 @@ class LinearCode:
 
     def is_projective(self) -> bool:
         """Column test: no zero column, no two columns scalar multiples."""
-        F = self.field
-        seen = set()
-        for col in self.generator.columns():
-            canon = canonical_point(F, col)
-            if canon is None or canon in seen:
-                return False
-            seen.add(canon)
+        try:
+            point_positions(self.field, zip(*self.generator.rows))
+        except CodeError:
+            return False
         return True
 
     # ------------------------------------------------------------------
@@ -237,8 +234,8 @@ class LinearCode:
         """(u'G, uG) for a u' that vanishes on ``basis``, not a multiple of u."""
         F = self.field
         null = Matrix(F, basis or [[0] * self.k]).kernel()
-        other = next(x for x in null.rows
-                     if canonical_point(F, x) != canonical_point(F, u))
+        point = point_position(F, u)
+        other = next(x for x in null.rows if point_position(F, x) != point)
         return self._codeword(other), self._codeword(u)
 
     def _codeword(self, message):
@@ -255,15 +252,19 @@ class LinearCode:
         return self.field.q * wd.min_weight > (self.field.q - 1) * wd.max_weight
 
 
-def canonical_point(field: GF, vec):
-    """Scale so the first nonzero coordinate is 1; None for the zero vector."""
-    for x in vec:
-        if x == 1:              # canonical: int() gives what field.mul would
-            return tuple(map(int, vec))
-        if x:
-            inv = field.inv(x)
-            return tuple(field.mul(inv, y) for y in vec)
-    return None
+def point_positions(field: GF, columns):
+    """The position (``gf.point_position``) of each column's projective
+    point; CodeError if a column is zero or two share a point."""
+    positions, seen = [], set()
+    for col in columns:
+        position = point_position(field, col)
+        if position is None:
+            raise CodeError("zero column in a projective point set")
+        if position in seen:
+            raise CodeError(f"repeated projective point {tuple(col)}")
+        seen.add(position)
+        positions.append(position)
+    return positions
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Bound arithmetic and the best-known-distance table."""
 
+import json
+import math
+import sys
+
 import pytest
 
 from anticodes.bounds import (
@@ -43,6 +47,24 @@ def test_erdos_kleitman():
     assert erdos_kleitman(7, 4) == 1 + 7 + 21
     with pytest.raises(ValueError):
         erdos_kleitman(4, 5)
+    assert all(erdos_kleitman(n, delta)
+               == sum(math.comb(n, i) for i in range(delta // 2 + 1))
+               for n in range(30) for delta in range(n + 1))
+
+
+def test_ek_bound_is_null_past_the_decimal_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)                     # the least allowed
+    try:
+        # the [4095, 12] simplex: the bound has about 1000 digits
+        big = bounds_report(2, 4095, 12, 2048, 2048).to_dict()
+        # below the limit the bound prints as before
+        small = bounds_report(2, 2000, 11, 1000, 1000).to_dict()
+        assert json.loads(json.dumps(big))["ek_bound"] is None
+        assert json.loads(json.dumps(small))["ek_bound"] \
+            == erdos_kleitman(2000, 1000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_code_anticode_check():

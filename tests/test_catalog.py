@@ -7,6 +7,7 @@ import pytest
 
 from anticodes import catalog as cat
 from anticodes import constructions as cons
+from anticodes import linear
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,20 @@ def test_verify_entry_detects_mismatch():
     assert not result.ok
     assert result.verdict == "FAIL"
     assert any("d:" in m for m in result.mismatches)
+
+
+def test_verify_entry_turns_a_cap_into_an_error(monkeypatch):
+    # an error fails the run even on a flagged row
+    monkeypatch.setattr(linear, "ENUM_CAP", 8)
+    entry = cat.CatalogEntry(
+        id="over-cap", mode="construct_and_enumerate",
+        expect={"q": 2, "n": 15, "k": 4, "d": 8}, known_discrepancy=True,
+        build={"family": "simplex", "params": {"q": 2, "k": 4}})
+    results, summary = cat.verify_catalog([entry])
+    assert results[0].verdict == "error"
+    assert results[0].mismatches == ["q^k = 16 exceeds enumeration cap"]
+    assert summary == {"total": 1, "passed": 0, "failed": 1,
+                       "known_discrepancy": 0}
 
 
 def test_verify_entry_transform_only():

@@ -273,6 +273,50 @@ def test_catalog_verify_failing_manifest(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_analyze_prints_null_for_an_unprintable_ek_bound(tmp_path, capsys):
+    # the [4095, 12] simplex's Erdos-Kleitman bound has about 1000 digits
+    path = tmp_path / "s12.json"
+    codefile.save_code(cons.simplex(2, 12), path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(["analyze", str(path)]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    report = json.loads(capsys.readouterr().out)
+    assert report["bounds"]["ek_bound"] is None
+    assert (report["n"], report["k"], report["d"]) == (4095, 12, 2048)
+
+
+def test_catalog_runs_every_row_after_an_error(tmp_path, capsys):
+    # a row whose build raises no longer stops the rows after it
+    doc = {"entries": [
+        {"id": "simplex-6", "mode": "construct_and_enumerate",
+         "expect": {"q": 6, "n": 7, "k": 2, "d": 6},
+         "build": {"family": "simplex", "params": {"q": 6, "k": 2}}},
+        {"id": "simplex-2-3", "mode": "construct_and_enumerate",
+         "expect": {"q": 2, "n": 7, "k": 3, "d": 4},
+         "build": {"family": "simplex", "params": {"q": 2, "k": 3}}}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run(["catalog", "verify", "--manifest", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "simplex-6    error  (6 is not a prime power)",
+        "simplex-2-3  pass",
+        "",
+        "1/2 passed, 1 failed, 0 known-discrepancy"]
+    assert err == ""
+    assert run(["catalog", "verify", "--manifest", str(path),
+                "--format", "json"]) == 1
+    got = json.loads(capsys.readouterr().out)
+    assert got["summary"] == {"total": 2, "passed": 1, "failed": 1,
+                              "known_discrepancy": 0}
+    assert [(r["id"], r["verdict"], r["mismatches"]) for r in got["results"]] \
+        == [("simplex-6", "error", ["6 is not a prime power"]),
+            ("simplex-2-3", "pass", [])]
+
+
 # every bad row, plus manifests that are not JSON at all
 BAD_MANIFESTS = {
     **{defect: json.dumps({"entries": [row]}).encode()

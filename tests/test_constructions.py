@@ -152,8 +152,10 @@ def test_point_set_checks_its_coordinates():
     for short in [(1, 0), (0, 1, 0, 0)]:
         with pytest.raises(CodeError):
             cons.ProjectivePointSet(F, 3, [short])
-    # a valid point is still scaled to its canonical form
-    assert cons.ProjectivePointSet(F, 3, [(0, 2, 3)]).points == [(0, 1, 2)]
+    # a valid point is kept as given, at the position of (0, 1, 2)
+    points = cons.ProjectivePointSet(F, 3, [(0, 2, 3)])
+    assert points.points == [(0, 2, 3)]
+    assert points.positions == [projective_points(F, 3).index((0, 1, 2))]
 
 
 def test_field_of_order_rejects_non_prime_power():
@@ -303,13 +305,29 @@ def test_simplex_columns_less_any_positions(data):
                              if i not in deleted]
 
 
-def test_point_index_is_the_sorted_position():
-    for q in (2, 3, 4, 9):
-        field = cons.field_of_order(q)
-        for K in (1, 2, 3, 4):
-            for i, p in enumerate(projective_points(field, K)):
-                assert cons._point_index(q, p) == i
-                assert cons._point_index(q, (0, 0) + p) == i     # padded
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_point_position_is_the_sorted_position(data):
+    q = data.draw(st.sampled_from(SELECTION_FIELDS), label="q")
+    field = cons.field_of_order(q)
+    K = data.draw(st.integers(1, max(K for K in range(1, 12)
+                                     if q ** K <= 2001)), label="K")
+    pad = (0,) * data.draw(st.integers(0, 3), label="pad")
+    for i, p in enumerate(projective_points(field, K)):
+        for c in range(1, q):
+            scaled = pad + tuple(field.mul(c, x) for x in p)
+            assert gf.point_position(field, scaled) == i
+
+
+def test_point_position_scales_and_reads_bools():
+    F4 = field_make(2, 2)
+    points = projective_points(F4, 3)
+    for vec, want in [((0, 2, 3), (0, 1, F4.div(3, 2))), ((0, 1, 3), (0, 1, 3)),
+                      ((True, False, True), (1, 0, 1))]:
+        got = gf.point_position(F4, vec)
+        assert got == points.index(want) and type(got) is int
+    assert gf.point_position(F4, (0, 0, 0)) is None
+    assert gf.point_position(F4, ()) is None
 
 
 @pytest.mark.parametrize("k,w", [(4, 2), (5, 3), (6, 2), (6, 3), (7, 4),

@@ -4,7 +4,9 @@ The class walk is checked against ``span``, a naive enumeration of all q^k
 codewords, and against a literal pairwise minimality check on its output.
 """
 
+import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,10 +15,10 @@ from hypothesis import strategies as st
 from anticodes import linear
 from anticodes.gf import field_make
 from anticodes.linear import (
-    CapExceeded, CodeError, LinearCode, WeightDistribution, canonical_point,
+    CapExceeded, CodeError, LinearCode, WeightDistribution,
 )
 from anticodes.constructions import (
-    complement, complementary_mds_trivial, complementary_rs,
+    complement, complementary_mds_trivial, complementary_rs, dual_bch_code,
     fixed_weight_anticode, kasami_code, prime_power, rs_code, simplex,
 )
 from anticodes.report import code_report
@@ -61,15 +63,6 @@ def pairwise_minimal(code, words):
     return not any(small <= big and not proportional(code.field, u, v)
                    for small in groups for big in groups
                    for u in groups[small] for v in groups[big])
-
-
-def test_canonical_point_scales_to_ints():
-    F4 = field_make(2, 2)
-    for vec, want in [((0, 2, 3), (0, 1, F4.div(3, 2))), ((0, 1, 3), (0, 1, 3)),
-                      ((True, False, True), (1, 0, 1)), ((0, 0, 0), None)]:
-        got = canonical_point(F4, vec)
-        assert got == want
-        assert got is None or all(type(x) is int for x in got)
 
 
 def test_weight_distribution_validation():
@@ -142,6 +135,47 @@ def test_projectivity_column_test():
     F3 = field_make(3, 1)
     code = LinearCode.from_generator(F3, [[1, 2, 0], [0, 0, 1]])
     assert not code.is_projective()
+
+
+@st.composite
+def columns_with_repeats(draw):
+    """(field, columns): random columns, then zero columns and nonzero
+    multiples of them, and the unit columns, which give full rank."""
+    q = draw(st.sampled_from(ORACLE_FIELDS))
+    field = field_make(*prime_power(q))
+    k = draw(st.integers(1, 4))
+    base = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * k),
+                         min_size=1, max_size=6))
+    extra = draw(st.lists(st.tuples(st.integers(0, len(base)),
+                                    st.integers(1, q - 1)), max_size=4))
+    pool = base + [(0,) * k]                     # the last is the zero column
+    copies = [tuple(field.mul(c, x) for x in pool[i]) for i, c in extra]
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return field, draw(st.permutations(base + copies + units))
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns_with_repeats())
+def test_projectivity_against_pairwise_oracle(case):
+    field, columns = case
+    code = LinearCode.from_generator(field, list(zip(*columns)))
+    want = all(any(c) for c in columns) and not any(
+        proportional(field, u, v) for u, v in combinations(columns, 2))
+    assert code.is_projective() == want
+
+
+def test_projectivity_of_a_long_code_stays_small():
+    # the [65528, 16] complement of dual-BCH(3): a canonical tuple per
+    # column peaked at 31 MiB traced, the unpacked rows included
+    code = complement(dual_bch_code(3), K=16)
+    tracemalloc.start()
+    try:
+        projective = code.is_projective()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert projective
+    assert peak < 16 << 20
 
 
 def test_minimality_witness():
