@@ -5,8 +5,10 @@ over the projective classes of nonzero messages: one message per class of
 q - 1 scalar multiples, which share one support. The walk holds each
 codeword packed in a single int, so a step is one word-wide addition and a
 weight is one popcount; memory is O(n * e) whatever q^k is. Minimality is
-checked on the same walk, one class at a time: the columns where the class
-vanishes must span its hyperplane (``_short_span``).
+checked one class at a time: the columns where the class vanishes must span
+its hyperplane (``_short_span``). That rank test runs on a second walk, and
+only on classes heavy enough to cover another (Ashikhmin-Barg), which the
+distribution names.
 """
 
 from __future__ import annotations
@@ -146,21 +148,16 @@ class LinearCode:
             if self._claim is not None and self.field.q ** self.k > ENUM_CAP:
                 return self._claim
             self._check_cap()
-            self._wd = self._distribution(Counter(
-                map(int.bit_count, _classes(self.field, self.generator.rows))))
+            q = self.field.q
+            classes = Counter(map(int.bit_count,
+                                  _classes(self.field, self.generator.rows)))
+            wd = WeightDistribution(q, self.n, self.k, {
+                0: 1, **{w: c * (q - 1) for w, c in classes.items()}})
+            if self._claim is not None and wd != self._claim:
+                raise CodeError("the cached weight_distribution is not the "
+                                f"generator's: counted {wd.to_dict()}")
+            self._wd = wd
         return self._wd
-
-    def _distribution(self, classes):
-        """The distribution from a count of class weights, checked against
-        the claimed one if there is one."""
-        q = self.field.q
-        counts = {0: 1}
-        counts.update((w, c * (q - 1)) for w, c in classes.items())
-        wd = WeightDistribution(q, self.n, self.k, counts)
-        if self._claim is not None and wd != self._claim:
-            raise CodeError("the cached weight_distribution is not the "
-                            f"generator's: counted {wd.to_dict()}")
-        return wd
 
     def min_distance(self) -> int:
         return self.weight_distribution().min_weight
@@ -202,14 +199,21 @@ class LinearCode:
         for every nonzero message u, the columns where uG vanishes span the
         hyperplane u^perp. If they span only V' < u^perp, any u' != u in
         the null space of V' vanishes wherever u does, so supp(u'G) lies
-        inside supp(uG). The walk that tests each class also counts its
-        weight. The witness comes from the first class that fails; after
-        it the walk goes on counting weights only, with no rank test, and
-        the distribution is stored either way, so ``analyze`` walks once.
+        inside supp(uG). Only a heavy class, (q - 1) wt >= q d, can cover
+        another (Ashikhmin-Barg, IEEE Trans. IT 44(5), 1998): some nonzero
+        c' - lambda c weighs at most wt(c') - wt(c) / (q - 1). So the
+        counted distribution prunes the rank test to heavy classes, and
+        clears a code with none. The witness comes from the first class
+        that fails, the same class an unpruned walk stops at.
         """
         F, q, k = self.field, self.field.q, self.k
         if q ** k > MINIMAL_CAP:
             raise CapExceeded(f"q^k = {q ** k} exceeds the minimality cap")
+        heavy = 0               # over the enumeration cap a claim clears nothing
+        if q ** k <= ENUM_CAP:
+            if self.ab_criterion():
+                return True, None
+            heavy = -(-q * self.min_distance() // (q - 1))
         # the builders list columns in sorted order, whose first columns in a
         # hyperplane lie in a small subspace; a fixed shuffle reaches rank
         # k - 1 after a few more than k - 1 columns
@@ -217,18 +221,12 @@ class LinearCode:
         random.Random(0).shuffle(order)
         rows = [[row[i] for i in order] for row in self.generator.rows]
         short = _short_span(F, rows)
-        weights = Counter()
-        walk, witness = _classes(F, rows), None
-        for index, mask in enumerate(walk):
-            weights[mask.bit_count()] += 1
-            basis = short(mask)
-            if basis is not None:
-                witness = self._witness(_class_message(F, k, index), basis)
-                break
-        if self._wd is None and q ** k <= ENUM_CAP:
-            weights.update(map(int.bit_count, walk))
-            self._wd = self._distribution(weights)
-        return witness is None, witness
+        for index, mask in enumerate(_classes(F, rows)):
+            if mask.bit_count() >= heavy:
+                basis = short(mask)
+                if basis is not None:
+                    return False, self._witness(_class_message(F, k, index), basis)
+        return True, None
 
     def _witness(self, u, basis):
         """(u'G, uG) for a u' that vanishes on ``basis``, not a multiple of u."""

@@ -43,7 +43,6 @@ class CodeReport:
 
 
 def code_report(code: LinearCode, best_known=None) -> CodeReport:
-    # first: its walk also gives the distribution
     try:
         minimal, witness = code.is_minimal_exact()
     except CapExceeded:

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from importlib import resources
 
 import pytest
 
@@ -94,6 +95,20 @@ def test_best_known_table_loads():
     assert table[(2, 46, 6)] == 22
     assert table[(4, 68, 4)] == 50
     assert all(len(key) == 3 for key in table)
+
+
+def test_best_known_rows_meet_the_griesmer_bound():
+    # no [n, k]_q code has g_q(k, d) > n, so a row's d_best is at most
+    # d_G = max{d : g_q(k, d) <= n}; a row above it is a data error
+    text = resources.files("anticodes.data").joinpath("best_known.csv").read_text()
+    rows = [tuple(map(int, line.split(",")[:4])) for line in text.splitlines()
+            if line.strip() and not line.startswith("#")]
+    assert len(rows) == 104
+    for q, n, k, d_best in rows:
+        d_g = 0
+        while griesmer_sum(q, k, d_g + 1) <= n:
+            d_g += 1
+        assert d_best <= d_g, (q, n, k, d_best, d_g)
 
 
 def test_classify_optimality():

@@ -4,6 +4,7 @@ The class walk is checked against ``span``, a naive enumeration of all q^k
 codewords, and against a literal pairwise minimality check on its output.
 """
 
+import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anticodes import linear
+from anticodes import codefile, linear
 from anticodes.gf import field_make
 from anticodes.linear import (
     CapExceeded, CodeError, LinearCode, WeightDistribution,
@@ -281,12 +282,102 @@ def test_minimality_in_natural_column_order(code):
     check_minimality(code, span(code))
 
 
-def test_kasami_4_is_minimal():
+def unpruned_minimality(code):
+    """(verdict, witness, index of the first failing class or None) from the
+    rank test on every class, over the columns shuffled as
+    ``is_minimal_exact`` shuffles them."""
+    F = code.field
+    order = list(range(code.n))
+    random.Random(0).shuffle(order)
+    rows = [[row[i] for i in order] for row in code.generator.rows]
+    short = linear._short_span(F, rows)
+    for index, mask in enumerate(linear._classes(F, rows)):
+        basis = short(mask)
+        if basis is not None:
+            u = linear._class_message(F, code.k, index)
+            return False, code._witness(u, basis), index
+    return True, None, None
+
+
+def count_short_calls(monkeypatch):
+    """Wrap ``_short_span``: the weights of the masks its tests are called
+    on, in order."""
+    weights, make = [], linear._short_span
+
+    def counted(*args):
+        short = make(*args)
+
+        def test(mask):
+            weights.append(mask.bit_count())
+            return short(mask)
+        return test
+    monkeypatch.setattr(linear, "_short_span", counted)
+    return weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_codes())
+def test_pruned_minimality_against_the_unpruned_walk(code):
+    ok, witness, first = unpruned_minimality(code)
+    with pytest.MonkeyPatch.context() as mp:
+        weights = count_short_calls(mp)
+        assert code.is_minimal_exact() == (ok, witness)
+    # the rank test runs on the heavy classes, (q - 1) wt >= q d, in walk
+    # order up to the first that fails, and on no other
+    F, q, d = code.field, code.field.q, code.min_distance()
+    walk = [m.bit_count() for m in linear._classes(F, code.generator.rows)]
+    stop = len(walk) if ok else first + 1
+    assert weights == [w for w in walk[:stop] if (q - 1) * w >= q * d]
+
+
+def test_kasami_4_is_minimal(monkeypatch):
     code = kasami_code(4)
     assert (code.n, code.k) == (255, 12)
+    weights = count_short_calls(monkeypatch)
     assert code.is_minimal_exact() == (True, None)
-    # the walk that found it minimal also counted the weights
+    # q*d > (q-1)*delta: the counted distribution clears every class
+    assert weights == []
     assert code._wd == kasami_code(4).weight_distribution()
+
+
+def test_a_minimal_code_tests_only_its_heavy_classes(monkeypatch):
+    # weights 4, 5, 5, 5, 6, 7, 8: only the class of weight 8 >= 2 * 4 can
+    # cover another codeword
+    code = LinearCode.from_generator(F2, [[1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1],
+                                          [0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1],
+                                          [0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1]])
+    assert not code.ab_criterion()
+    weights = count_short_calls(monkeypatch)
+    assert code.is_minimal_exact() == (True, None)
+    assert weights == [8]
+
+
+@pytest.mark.parametrize("code", [
+    kasami_code(3), complement(dual_bch_code(3), K=6),
+    complementary_mds_trivial(3, 3, 0), complementary_rs(4, 3, 0),
+], ids=lambda code: code.label)
+def test_rank_test_passes_every_class_of_an_ab_code(code):
+    # the pruning never runs the rank test on these, so run it directly
+    assert code.ab_criterion()
+    F = code.field
+    short = linear._short_span(F, code.generator.rows)
+    assert all(short(mask) is None
+               for mask in linear._classes(F, code.generator.rows))
+
+
+def test_long_complement_minimality_walks_once(monkeypatch):
+    # the [65528, 16] complement of dual-BCH(3): the counting walk, and
+    # then no rank test on any of its 65535 classes
+    code = complement(dual_bch_code(3), K=16)
+    walked, classes = [0], linear._classes
+
+    def counted(*args):
+        walked[0] += 1
+        return classes(*args)
+    monkeypatch.setattr(linear, "_classes", counted)
+    weights = count_short_calls(monkeypatch)
+    assert code.is_minimal_exact() == (True, None)
+    assert walked[0] == 1 and weights == []
 
 
 @pytest.mark.parametrize("p,e,rows", [
@@ -294,9 +385,12 @@ def test_kasami_4_is_minimal():
     (3, 1, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 0, 0]]),
     (2, 2, [[1, 0, 1, 2], [0, 1, 1, 3], [0, 0, 0, 1]]),
 ], ids=["q2", "q3", "q4"])
-def test_analyze_walks_a_nonminimal_code_once(p, e, rows, monkeypatch):
+def test_analyze_counts_then_rank_walks_to_the_first_failure(p, e, rows,
+                                                             monkeypatch):
     F = field_make(p, e)
     code = LinearCode.from_generator(F, rows)
+    ok, witness, first = unpruned_minimality(code)
+    assert not ok
     walked = [0]
     classes = linear._classes
 
@@ -307,13 +401,30 @@ def test_analyze_walks_a_nonminimal_code_once(p, e, rows, monkeypatch):
     monkeypatch.setattr(linear, "_classes", counted)
     report = code_report(code)
     assert report.minimal_exact is False
-    assert walked[0] == (F.q ** code.k - 1) // (F.q - 1)
+    # one counting walk over every class, then the rank walk up to and
+    # including the first class that fails
+    assert walked[0] == (F.q ** code.k - 1) // (F.q - 1) + first + 1
     assert code.weight_distribution() == span_distribution(code)
-    # the witness is the first failing class's, as when the walk stops there
+    # the witness is the first failing class's, as when nothing is pruned
     monkeypatch.setattr(linear, "ENUM_CAP", 1)
     fresh = LinearCode.from_generator(F, rows)
-    assert fresh.is_minimal_exact() == (False, report.minimal_witness)
+    assert fresh.is_minimal_exact() == (False, report.minimal_witness) \
+        == (False, witness)
     assert fresh._wd is None
+
+
+def test_a_claimed_distribution_clears_no_class(monkeypatch):
+    # over the enumeration cap nothing checks a code file's distribution;
+    # the claim {0: 1, 2: 3} passes q*d > (q-1)*delta, but the code has
+    # supp(001) inside supp(111)
+    code = LinearCode.from_generator(F2, [[1, 1, 0], [0, 0, 1]])
+    ok, witness, _ = unpruned_minimality(code)
+    doc = codefile.code_to_dict(code)
+    doc["weight_distribution"] = {"0": 1, "2": 3}
+    monkeypatch.setattr(linear, "ENUM_CAP", 2)
+    claimed = codefile.code_from_dict(doc)
+    assert claimed.ab_criterion()
+    assert claimed.is_minimal_exact() == (ok, witness) != (True, None)
 
 
 def test_minimality_stores_no_distribution_over_the_enum_cap(monkeypatch):
