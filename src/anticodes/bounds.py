@@ -41,14 +41,20 @@ def plotkin_anticode_floor(q: int, n: int) -> int:
     return -(-(q - 1) * n // q)
 
 
-def erdos_kleitman(n: int, delta: int) -> int:
+def erdos_kleitman(n: int, delta: int) -> int | None:
     """Binary anticode size bound: sum of C(n, i) for i <= floor(delta/2),
-    each binomial from the last, C(n, i+1) = C(n, i)(n - i)/(i + 1)."""
+    each binomial from the last, C(n, i+1) = C(n, i)(n - i)/(i + 1).
+    None once a partial sum has more decimal digits than Python prints
+    (``sys.get_int_max_str_digits()``; 0 is no limit)."""
     if not 0 <= delta <= n:
         raise ValueError("need 0 <= delta <= n")
+    limit = sys.get_int_max_str_digits()
+    cap = 10 ** limit if limit else None
     total, term = 0, 1
     for i in range(delta // 2 + 1):
         total += term
+        if cap is not None and total >= cap:
+            return None
         term = term * (n - i) // (i + 1)
     return total
 
@@ -81,9 +87,6 @@ class BoundsReport:
 
 def bounds_report(q: int, n: int, k: int, d: int, delta: int) -> BoundsReport:
     ek = erdos_kleitman(n, delta) if q == 2 else None
-    limit = sys.get_int_max_str_digits()          # 0 for no limit
-    if ek is not None and limit and ek >= 10 ** limit:
-        ek = None                                 # Python could not print it
     gs, gd = griesmer(q, k, d, n)
     ags, agd, holds = antigriesmer(q, k, delta, n)
     return BoundsReport(

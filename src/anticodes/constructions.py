@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from math import comb
 
 from .gf import (GF, FieldError, check_row, field_make, project_to_subfield,
                  relative_trace, simplex_columns)
@@ -63,19 +64,30 @@ class ProjectivePointSet:
         self.positions = point_positions(self.field, self.points)
 
 
+def _check_length(n: int, what: str) -> None:
+    """CodeError for a code of length n over ``LENGTH_CAP``: each builder
+    calls it with the length its parameters give, before any column."""
+    if n > LENGTH_CAP:                  # a huge n would not print in decimal
+        size = n if n.bit_length() <= 64 else f"2^{n.bit_length() - 1}+"
+        raise CodeError(f"{what} length {size} over the cap")
+
+
 # ----------------------------------------------------------------------
 # simplex and complements
 # ----------------------------------------------------------------------
 
+def _simplex_cut(field: GF, K: int, deleted, label: str) -> LinearCode:
+    """The code on the points of PG(K-1, q) less the sorted positions
+    ``deleted``, length-checked first."""
+    _check_length((field.q ** K - 1) // (field.q - 1) - len(deleted), label)
+    return LinearCode.from_column_matrix(
+        field, simplex_columns(field, K, deleted), label=label)
+
+
 def simplex(q: int, k: int) -> LinearCode:
     if k < 1:
         raise CodeError(f"simplex needs k >= 1, got k={k}")
-    field = field_of_order(q)
-    n = (q ** k - 1) // (q - 1)
-    if n > LENGTH_CAP:
-        raise CodeError(f"simplex length {n} over the cap")
-    return LinearCode.from_column_matrix(field, simplex_columns(field, k),
-                                         label=f"simplex({q},{k})")
+    return _simplex_cut(field_of_order(q), k, (), f"simplex({q},{k})")
 
 
 def complement(source, K: int) -> LinearCode:
@@ -103,9 +115,8 @@ def complement(source, K: int) -> LinearCode:
     if n >= q ** (K - 1):
         raise CodeError(f"complement needs n < q^(K-1), got n={n}, K={K}")
     label = getattr(source, "label", "") or "points"
-    code = LinearCode.from_column_matrix(
-        field, simplex_columns(field, K, sorted(positions)),
-        label=f"complement({label}, K={K})")
+    code = _simplex_cut(field, K, sorted(positions),
+                        f"complement({label}, K={K})")
     if code.k != K:
         raise CodeError(f"complement rank {code.k} != {K}")
     return code
@@ -195,6 +206,7 @@ def fixed_weight_anticode(k: int, w: int) -> LinearCode:
     lexicographic order. Rank is k-1 for even w and k for odd w."""
     if not 2 <= w <= k - 1:
         raise CodeError(f"need 2 <= w <= k-1, got w={w}, k={k}")
+    _check_length(comb(k, w), f"fixed-weight({k},{w})")
     cols = sorted(tuple(1 if i in pos else 0 for i in range(k))
                   for pos in combinations(range(k), w))
     return LinearCode.from_columns(field_make(2, 1), cols,
@@ -233,6 +245,7 @@ def ovoid_code(q: int) -> LinearCode:
     """Columns = the q^2+1 points of the elliptic quadric
     x0*x1 = f(x2, x3) with f an irreducible binary quadratic form."""
     field = field_of_order(q)
+    _check_length(q * q + 1, f"ovoid({q})")
     c0, c1 = smallest_irreducible_quadratic(field)
 
     def norm_form(a, b):
@@ -320,6 +333,7 @@ def concatenate_with_simplex(outer: LinearCode) -> LinearCode:
     if of.p != 2:
         raise CodeError("outer field must have characteristic 2")
     s = of.e
+    _check_length(outer.n * ((1 << s) - 1), f"concat-simplex({outer.label})")
     inner_rows = simplex(2, s).generator.rows if s > 1 else [(1,)]
     # the inner codeword of every symbol value, encoded once
     words = []

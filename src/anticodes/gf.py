@@ -9,7 +9,6 @@ from the constant term upward, so field construction is deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 SIZE_CAP = 1 << 16
@@ -452,84 +451,48 @@ def check_row(field: GF, row):
             field.check(x)
 
 
-class _Rows(Sequence):
-    """A matrix's rows as tuples of element codes, unpacked on first use."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    def __len__(self):
-        return self.matrix.nrows
-
-    def __getitem__(self, i):
-        return self.matrix._unpacked()[i]
-
-    def __iter__(self):
-        return iter(self.matrix._unpacked())
-
-    def __eq__(self, other):
-        if isinstance(other, (_Rows, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return repr(list(self))
-
-
 class Matrix:
     """Dense matrix over a GF.
 
     Each row is held packed, one int in the lane layout of ``layout`` (a
-    ``_Packing``); ``rows`` shows them as tuples of element codes. The
-    rows of another matrix over the same field are taken over packed,
-    unchecked; any other rows are checked against the field.
+    ``_Packing``). Rows given as element codes are checked against the
+    field and kept as given; a matrix made by elimination holds only its
+    packed rows.
     """
 
     def __init__(self, field: GF, rows):
-        self.field = field
-        if isinstance(rows, _Rows) and rows.matrix.field == field:
-            src = rows.matrix
-            self._set(src.layout, src.packed, src._tuples, src._echelon)
-            return
-        rows = [tuple(r) for r in rows]
+        rows = tuple(map(tuple, rows))
         for r in rows:
             check_row(field, r)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix")
         layout = _Packing(field, ncols)
-        self._set(layout, tuple(map(layout.pack, rows)), tuple(rows), None)
+        self._set(field, layout, tuple(map(layout.pack, rows)), rows)
 
-    def _set(self, layout, packed, tuples, echelon):
-        self.layout, self.packed = layout, packed
+    def _set(self, field, layout, packed, given, echelon=None):
+        self.field, self.layout, self.packed = field, layout, packed
         self.nrows, self.ncols = len(packed), layout.length
-        self._tuples, self._echelon = tuples, echelon
+        self._given, self._echelon = given, echelon
 
     @classmethod
     def _of_packed(cls, field: GF, layout, packed, echelon=None):
         m = cls.__new__(cls)
-        m.field = field
-        m._set(layout, packed, None, echelon)
+        m._set(field, layout, packed, None, echelon)
         return m
 
     @property
     def rows(self):
-        """The rows as a sequence of tuples of element codes."""
-        return _Rows(self)
-
-    def _unpacked(self):
-        if self._tuples is None:
-            self._tuples = tuple(map(self.layout.unpack, self.packed))
-        return self._tuples
+        """The rows as a list of tuples of element codes: the given rows,
+        or else the packed rows unpacked anew on each read."""
+        if self._given is not None:
+            return list(self._given)
+        return list(map(self.layout.unpack, self.packed))
 
     def columns(self):
         if not self.nrows:
             return [()] * self.ncols
-        return list(zip(*self._unpacked()))
+        return list(zip(*self.rows))
 
     def _eliminate(self):
         """(packed rows of the RREF, their pivot columns), computed once.
@@ -574,12 +537,14 @@ class Matrix:
                              tuple(t // W - 1 for t in tops))
         return self._echelon
 
+    def echelon(self) -> "Matrix":
+        """The RREF's nonzero rows as a matrix, packed, its rank known."""
+        echelon = self._eliminate()
+        return Matrix._of_packed(self.field, self.layout, echelon[0], echelon)
+
     def rref(self):
         """(reduced rows, pivot column list); reduced rows exclude zero rows."""
-        packed, pivots = self._eliminate()
-        reduced = Matrix._of_packed(self.field, self.layout, packed,
-                                    (packed, pivots))
-        return reduced.rows, list(pivots)
+        return self.echelon().rows, list(self._eliminate()[1])
 
     def rank(self) -> int:
         return len(self._eliminate()[0])

@@ -1,4 +1,4 @@
-"""Linear codes: exact weight distributions, duals, projectivity, minimality.
+"""Linear codes: exact weight distributions, projectivity, minimality.
 
 Weight counts and minimality verdicts come from one walk, ``_classes``,
 over the projective classes of nonzero messages: one message per class of
@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from functools import cached_property
 
 from .gf import GF, Matrix, _Packing, point_position
 
@@ -78,9 +77,9 @@ class WeightDistribution:
 class LinearCode:
     """An [n, k]_q code held as a full-rank k x n generator matrix.
 
-    A code built from columns keeps their matrix, packed, in its ambient
-    dimension (which may exceed k when that matrix was rank-deficient);
-    ``column_points`` shows it as column tuples, and the complement
+    A code built from columns keeps their matrix in its ambient dimension
+    (which may exceed k when that matrix was rank-deficient);
+    ``column_points`` reads it as column tuples, and the complement
     construction consumes it.
     """
 
@@ -116,18 +115,14 @@ class LinearCode:
     def from_column_matrix(cls, field: GF, points: Matrix,
                            label: str = "") -> "LinearCode":
         """Code spanned by the rows of ``points``, whose columns it keeps.
+        Its generator is the RREF of ``points``, with its rank known."""
+        return cls(field, points.echelon(), label=label, points=points)
 
-        The RREF rows of ``points`` become the generator, taken over
-        packed and with their rank known.
-        """
-        basis, _ = points.rref()
-        return cls(field, Matrix(field, basis), label=label, points=points)
-
-    @cached_property
+    @property
     def column_points(self):
         """(ambient dimension, column tuples) of the matrix the code was
-        built from, unpacked on first read; None for a code built from
-        its generator rows."""
+        built from, read anew each time; None for a code built from its
+        generator rows."""
         if self._points is None:
             return None
         return self._points.nrows, self._points.columns()
@@ -150,7 +145,7 @@ class LinearCode:
             self._check_cap()
             q = self.field.q
             classes = Counter(map(int.bit_count,
-                                  _classes(self.field, self.generator.rows)))
+                                  _classes(self.generator)))
             wd = WeightDistribution(q, self.n, self.k, {
                 0: 1, **{w: c * (q - 1) for w, c in classes.items()}})
             if self._claim is not None and wd != self._claim:
@@ -166,21 +161,6 @@ class LinearCode:
         return self.weight_distribution().max_weight
 
     # ------------------------------------------------------------------
-    def dual_code(self) -> "LinearCode":
-        ker = self.generator.kernel()
-        if ker.nrows == 0:
-            raise CodeError(f"[{self.n},{self.k}] code has a trivial dual")
-        return LinearCode(self.field, ker, label=f"dual({self.label})")
-
-    def dual_distance(self):
-        """Exact dual minimum distance when the dual is enumerable, else None."""
-        if self.n == self.k:
-            return None
-        dual = self.dual_code()
-        if self.field.q ** dual.k > ENUM_CAP:
-            return None
-        return dual.min_distance()
-
     def is_projective(self) -> bool:
         """Column test: no zero column, no two columns scalar multiples."""
         try:
@@ -219,9 +199,10 @@ class LinearCode:
         # k - 1 after a few more than k - 1 columns
         order = list(range(self.n))
         random.Random(0).shuffle(order)
-        rows = [[row[i] for i in order] for row in self.generator.rows]
-        short = _short_span(F, rows)
-        for index, mask in enumerate(_classes(F, rows)):
+        shuffled = Matrix(F, [[row[i] for i in order]
+                              for row in self.generator.rows])
+        short = _short_span(shuffled)
+        for index, mask in enumerate(_classes(shuffled)):
             if mask.bit_count() >= heavy:
                 basis = short(mask)
                 if basis is not None:
@@ -237,12 +218,12 @@ class LinearCode:
         return self._codeword(other), self._codeword(u)
 
     def _codeword(self, message):
-        F = self.field
-        word = [0] * self.n
-        for m, row in zip(message, self.generator.rows):
+        """uG as a tuple: the sum of the packed scaled rows, unpacked."""
+        lay, word = self.generator.layout, 0
+        for m, row in zip(message, self.generator.packed):
             if m:
-                word = [F.add(a, F.mul(m, b)) for a, b in zip(word, row)]
-        return tuple(word)
+                word = lay.add(word, lay.scale(lay.powers(row), m))
+        return lay.unpack(word)
 
     def ab_criterion(self) -> bool:
         """Sufficient minimality condition: q*d > (q-1)*delta, exactly."""
@@ -278,17 +259,15 @@ def point_positions(field: GF, columns):
 # (s_j - s_(j+1)) mod p, where s_j is the j-th base-p digit of s.
 # ----------------------------------------------------------------------
 
-def _classes(field: GF, rows):
+def _classes(generator: Matrix):
     """Yield one support mask per projective class of nonzero messages.
 
-    ``rows`` are the generator's rows; a matrix's rows are read packed.
-    Codewords are packed as ``_Packing`` lays them out, and a mask is
-    (cw + low) & high. Its bits sit at lane positions, not coordinate
-    positions, but its bit_count is the weight and supports nest exactly
-    when masks do.
+    Codewords are the generator's packed rows summed in its layout, and a
+    mask is (cw + low) & high. Its bits sit at lane positions, not
+    coordinate positions, but its bit_count is the weight and supports
+    nest exactly when masks do.
     """
-    p, e = field.p, field.e
-    generator = Matrix(field, rows)
+    p, e = generator.field.p, generator.field.e
     lay = generator.layout
     w, low, high, guard, bump = lay.w, lay.low, lay.high, lay.guard, lay.bump
     scaled = [lay.powers(v) for v in generator.packed]    # beta_d * row
@@ -327,10 +306,10 @@ def _class_message(field: GF, k: int, index: int):
                                for i in range(t)]
 
 
-def _short_span(field: GF, rows):
+def _short_span(generator: Matrix):
     """The cutting-blocking-set test, one class at a time.
 
-    ``rows`` is the generator the class walk runs on. The returned function
+    ``generator`` is the matrix the class walk runs on. The returned function
     takes a class's support mask and reduces the columns where the class
     vanishes, lowest lane first, until they reach rank k - 1: then they
     span the class's hyperplane and it returns None. If they fall short it
@@ -343,18 +322,19 @@ def _short_span(field: GF, rows):
     built on the vector's first reduction, and a column that entered the
     basis unreduced keeps its table for every class.
     """
-    k, q = len(rows), field.q
+    field, k, n = generator.field, generator.nrows, generator.ncols
+    q = field.q
     if k == 1:                       # the hyperplane is {0}
         return lambda mask: None
-    walk, lay = _Packing(field, len(rows[0])), _Packing(field, k)
+    lay = _Packing(field, k)
     W, lanes, target = lay.W, lay.lanes, k - 1
     lane, unlane = (1 << W) - 1, lay.unlane
-    columns = [0] * len(rows[0])
-    for row in rows:
+    columns = [0] * n
+    for row in generator.rows:
         columns = [v << W | lanes[x] for v, x in zip(columns, row)]
-    at = [0] * ((len(columns) + 1) * W)       # mask bit length -> column
+    at = [0] * ((n + 1) * W)         # mask bit length -> column
     at[W::W] = columns
-    zero_lanes = walk.high
+    zero_lanes = generator.layout.high
 
     def unpack(v):
         return [unlane[v >> (k - 1 - i) * W & lane] for i in range(k)]

@@ -68,6 +68,21 @@ def test_ek_bound_is_null_past_the_decimal_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_ek_bound_at_the_decimal_limit():
+    # for n = 4095 the sum first reaches 10^640 at i = 479
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        below = bounds_report(2, 4095, 12, 2048, 956).to_dict()
+        above = bounds_report(2, 4095, 12, 2048, 958).to_dict()
+        printed = json.loads(json.dumps(below))["ek_bound"]
+        assert json.loads(json.dumps(above))["ek_bound"] is None
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == sum(math.comb(4095, i) for i in range(479))
+    assert len(str(printed)) == 640
+
+
 def test_code_anticode_check():
     # |C| * |A| <= q^n
     assert code_anticode_check(2 ** 4, 2 ** 3, 2, 7)

@@ -114,6 +114,20 @@ def test_verify_entry_detects_mismatch():
     assert any("d:" in m for m in result.mismatches)
 
 
+def test_a_row_over_the_length_cap_is_an_error(monkeypatch):
+    monkeypatch.setattr(cons, "LENGTH_CAP", 16)
+    entry = cat.CatalogEntry(
+        id="long", mode="construct_and_enumerate",
+        expect={"q": 2, "n": 24, "k": 5, "d": 12},
+        build={"family": "simplex", "params": {"q": 2, "k": 3},
+               "complement_at": 5})
+    results, summary = cat.verify_catalog([entry])
+    assert results[0].verdict == "error"
+    assert results[0].mismatches == [
+        "complement(simplex(2,3), K=5) length 24 over the cap"]
+    assert summary["failed"] == 1
+
+
 def test_verify_entry_turns_a_cap_into_an_error(monkeypatch):
     # an error fails the run even on a flagged row
     monkeypatch.setattr(linear, "ENUM_CAP", 8)

@@ -62,6 +62,21 @@ def test_construct_bad_params_exit_2(capsys, params):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_construct_over_the_length_cap_exits_2(capsys, monkeypatch):
+    # the cap is checked from the parameters, so a lift of any size is
+    # refused before a column is built
+    monkeypatch.setattr(cons, "LENGTH_CAP", 16)
+    assert run(["construct", "simplex", "--q", "2", "--k", "3",
+                "--K", "5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: complement(simplex(2,3), K=5) length 24 "
+                   "over the cap"]
+    # a length with more digits than Python prints is shown by its size
+    assert run(["construct", "simplex", "--q", "2", "--k", "20000"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: simplex(2,20000) length 2^19999+ over the cap"]
+
+
 def _distinct_builds():
     builds = []
     for entry in cat.load_manifest():

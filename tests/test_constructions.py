@@ -1,5 +1,6 @@
 """Construction families, complements, and the distribution transform."""
 
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -46,6 +47,29 @@ def test_complement_of_subspace_points():
 def test_complement_requires_small_source():
     with pytest.raises(CodeError):
         cons.complement(cons.simplex(2, 3), K=3)        # 7 >= 2^2
+
+
+@pytest.mark.parametrize("build,what", [
+    (lambda: cons.simplex(2, 5), "simplex(2,5) length 31"),
+    (lambda: cons.complement(cons.simplex(2, 3), K=5),
+     "complement(simplex(2,3), K=5) length 24"),
+    (lambda: cons.complementary_mds_trivial(3, 3, 1),
+     "complement(points, K=4) length 37"),
+    (lambda: cons.fixed_weight_anticode(7, 3), "fixed-weight(7,3) length 35"),
+    (lambda: cons.ovoid_code(4), "ovoid(4) length 17"),
+    (lambda: cons.concatenate_with_simplex(cons.two_subspace_code(4)),
+     "concat-simplex(two-subspace(4)) length 30"),
+], ids=["simplex", "complement", "comp-mds", "fixed-weight", "ovoid",
+        "concat"])
+def test_every_builder_checks_the_length_cap(monkeypatch, build, what):
+    monkeypatch.setattr(cons, "LENGTH_CAP", 16)
+    with pytest.raises(CodeError, match=rf"^{re.escape(what)} over the cap$"):
+        build()
+    # at the cap and under it the builders still build
+    assert cons.simplex(2, 4).n == 15
+    assert cons.complement(cons.simplex(2, 3), K=4).n == 8
+    monkeypatch.setattr(cons, "LENGTH_CAP", 17)
+    assert cons.ovoid_code(4).n == 17
 
 
 def test_complement_reduces_redundant_ambient():

@@ -4,6 +4,7 @@ The class walk is checked against ``span``, a naive enumeration of all q^k
 codewords, and against a literal pairwise minimality check on its output.
 """
 
+import gc
 import random
 import tracemalloc
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anticodes import codefile, linear
-from anticodes.gf import field_make
+from anticodes.gf import Matrix, field_make
 from anticodes.linear import (
     CapExceeded, CodeError, LinearCode, WeightDistribution,
 )
@@ -38,6 +39,12 @@ def span(code):
         words = [tuple(F.add(a, b) for a, b in zip(w, s))
                  for w in words for s in scaled]
     return words
+
+
+def dual_code(code):
+    """The dual code, from the generator's kernel."""
+    return LinearCode(code.field, code.generator.kernel(),
+                      label=f"dual({code.label})")
 
 
 def span_distribution(code):
@@ -108,24 +115,24 @@ def test_codeword_count():
     words = span(code)
     assert len(set(words)) == len(words) == 16
     # the 15 nonzero codewords fall into 5 classes of q - 1 = 3 multiples
-    assert sum(1 for _ in linear._classes(code.field, code.generator.rows)) == 5
+    assert sum(1 for _ in linear._classes(code.generator)) == 5
 
 
 def test_dual_of_simplex_is_hamming():
     code = simplex(2, 3)
-    dual = code.dual_code()
+    dual = dual_code(code)
     assert (dual.n, dual.k) == (7, 4)
     assert dual.min_distance() == 3
-    assert code.dual_distance() == 3
+    assert dual_code(dual).weight_distribution() == code.weight_distribution()
     assert code.is_projective()
 
 
 def test_dual_distance_of_a_high_rate_code():
     # the [31,26]_2 Hamming code: q^k = 2^26 is over the cap, but the dual
     # is the 5-dimensional simplex code, all of whose nonzero words weigh 16
-    hamming = simplex(2, 5).dual_code()
+    hamming = dual_code(simplex(2, 5))
     assert linear.ENUM_CAP < 2 ** hamming.k
-    assert hamming.dual_distance() == 16
+    assert dual_code(hamming).min_distance() == 16
 
 
 def test_projectivity_column_test():
@@ -177,6 +184,27 @@ def test_projectivity_of_a_long_code_stays_small():
         tracemalloc.stop()
     assert projective
     assert peak < 16 << 20
+
+
+def test_a_long_code_holds_no_unpacked_copy():
+    # the [4088, 12] complement of dual-BCH(3): after counting, the column
+    # test and a read of its columns, only small results stay held (a
+    # cached tuple copy of the rows and columns held 1347 KiB)
+    code = complement(dual_bch_code(3), K=12)
+    assert (code.n, code.k) == (4088, 12)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code.weight_distribution()
+        assert code.is_projective()
+        dim, columns = code.column_points
+        assert (dim, len(columns)) == (12, 4088)
+        del columns
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 << 10
 
 
 def test_minimality_witness():
@@ -246,7 +274,7 @@ def test_class_walk_against_oracle(code):
 
     # class i's codeword has the i-th mask's weight, and the q - 1 multiples
     # of the class codewords are the nonzero codewords, each once
-    masks = list(linear._classes(F, code.generator.rows))
+    masks = list(linear._classes(code.generator))
     reps = [code._codeword(linear._class_message(F, code.k, i))
             for i in range(len(masks))]
     assert [m.bit_count() for m in masks] == [len(support(r)) for r in reps]
@@ -254,6 +282,29 @@ def test_class_walk_against_oracle(code):
     assert sorted(multiples) == sorted(w for w in words if any(w))
 
     check_minimality(code, words)
+
+
+def elementwise_codeword(code, message):
+    """uG summed one element at a time over the unpacked rows."""
+    F = code.field
+    word = [0] * code.n
+    for m, row in zip(message, code.generator.rows):
+        if m:
+            word = [F.add(a, F.mul(m, b)) for a, b in zip(word, row)]
+    return tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_codes(), st.data())
+def test_packed_codeword_against_elementwise_sum(code, data):
+    q = code.field.q
+    message = data.draw(st.lists(st.integers(0, q - 1), min_size=code.k,
+                                 max_size=code.k))
+    assert code._codeword(message) == elementwise_codeword(code, message)
+    # and the class representatives the witnesses come from
+    for i in range(min(20, (q ** code.k - 1) // (q - 1))):
+        u = linear._class_message(code.field, code.k, i)
+        assert code._codeword(u) == elementwise_codeword(code, u)
 
 
 def check_minimality(code, words):
@@ -289,9 +340,10 @@ def unpruned_minimality(code):
     F = code.field
     order = list(range(code.n))
     random.Random(0).shuffle(order)
-    rows = [[row[i] for i in order] for row in code.generator.rows]
-    short = linear._short_span(F, rows)
-    for index, mask in enumerate(linear._classes(F, rows)):
+    shuffled = Matrix(F, [[row[i] for i in order]
+                          for row in code.generator.rows])
+    short = linear._short_span(shuffled)
+    for index, mask in enumerate(linear._classes(shuffled)):
         basis = short(mask)
         if basis is not None:
             u = linear._class_message(F, code.k, index)
@@ -325,7 +377,7 @@ def test_pruned_minimality_against_the_unpruned_walk(code):
     # the rank test runs on the heavy classes, (q - 1) wt >= q d, in walk
     # order up to the first that fails, and on no other
     F, q, d = code.field, code.field.q, code.min_distance()
-    walk = [m.bit_count() for m in linear._classes(F, code.generator.rows)]
+    walk = [m.bit_count() for m in linear._classes(code.generator)]
     stop = len(walk) if ok else first + 1
     assert weights == [w for w in walk[:stop] if (q - 1) * w >= q * d]
 
@@ -360,9 +412,9 @@ def test_rank_test_passes_every_class_of_an_ab_code(code):
     # the pruning never runs the rank test on these, so run it directly
     assert code.ab_criterion()
     F = code.field
-    short = linear._short_span(F, code.generator.rows)
+    short = linear._short_span(code.generator)
     assert all(short(mask) is None
-               for mask in linear._classes(F, code.generator.rows))
+               for mask in linear._classes(code.generator))
 
 
 def test_long_complement_minimality_walks_once(monkeypatch):
