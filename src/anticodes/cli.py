@@ -213,8 +213,7 @@ def build_parser() -> _Parser:
                    help="alternate manifest JSON (default: bundled)")
     p.add_argument("--jobs", type=int,
                    help="ignored: the rows run one after another")
-    p.add_argument("--format", choices=["json", "csv", "text"],
-                   default="text")
+    p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_catalog)
     return parser

@@ -79,7 +79,8 @@ def code_from_dict(doc: dict) -> LinearCode:
     if not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows):
         raise CodeError("generator must be a list of equal-length rows")
     n, k = _typed(doc, "n", int, "code file"), _typed(doc, "k", int, "code file")
-    code = LinearCode(field, Matrix(field, rows), label=doc.get("label", ""))
+    label = _typed(doc, "label", str, "code file") if "label" in doc else ""
+    code = LinearCode(field, Matrix(field, rows), label=label)
     if code.n != n or code.k != k:
         raise CodeError(
             f"declared [{n},{k}] but generator is [{code.n},{code.k}]")

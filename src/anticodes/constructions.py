@@ -76,9 +76,18 @@ def _check_length(n: int, what: str) -> None:
 # simplex and complements
 # ----------------------------------------------------------------------
 
+def _check_lift(K: int, what: str) -> None:
+    """CodeError for a K over ``LENGTH_CAP`` whatever q is, before any
+    power of q is formed: PG(K-1, q) less fewer than q^(K-1) of its points
+    keeps at least 1 + 2 + ... + 2^(K-2) + 1 = 2^(K-1) of them."""
+    if K > LENGTH_CAP.bit_length():
+        raise CodeError(f"{what} length 2^{K - 1}+ over the cap")
+
+
 def _simplex_cut(field: GF, K: int, deleted, label: str) -> LinearCode:
     """The code on the points of PG(K-1, q) less the sorted positions
     ``deleted``, length-checked first."""
+    _check_lift(K, label)
     _check_length((field.q ** K - 1) // (field.q - 1) - len(deleted), label)
     return LinearCode.from_column_matrix(
         field, simplex_columns(field, K, deleted), label=label)
@@ -111,12 +120,12 @@ def complement(source, K: int) -> LinearCode:
     q = field.q
     if K < dim:
         raise CodeError(f"lift dimension {K} below ambient dimension {dim}")
+    label = f"complement({getattr(source, 'label', '') or 'points'}, K={K})"
+    _check_lift(K, label)
     n = len(positions)
     if n >= q ** (K - 1):
         raise CodeError(f"complement needs n < q^(K-1), got n={n}, K={K}")
-    label = getattr(source, "label", "") or "points"
-    code = _simplex_cut(field, K, sorted(positions),
-                        f"complement({label}, K={K})")
+    code = _simplex_cut(field, K, sorted(positions), label)
     if code.k != K:
         raise CodeError(f"complement rank {code.k} != {K}")
     return code

@@ -357,6 +357,7 @@ class _Packing:
         every = ((1 << length * W) - 1) // ((1 << W) - 1)   # bit 0 of every lane
         digit = ((1 << length * e * w) - 1) // ((1 << w) - 1)  # of every digit
         self.field, self.length, self.p, self.w, self.W = field, length, p, w, W
+        self.lane = (1 << W) - 1
         self.low, self.high = ((1 << W - 1) - 1) * every, (1 << W - 1) * every
         self.guard, self.bump = (1 << w - 1) * digit, ((1 << w - 1) - p) * digit
         self.digit0 = ((1 << w) - 1) * every             # digit 0 of every lane
@@ -419,6 +420,8 @@ class _Packing:
 
     def scale(self, powers, a: int) -> int:
         """a * v, packed, from ``powers(v)``."""
+        if a == 1:
+            return powers[0]
         acc, p = 0, self.p
         for u in powers:
             if a % p:
@@ -426,16 +429,44 @@ class _Packing:
             a //= p
         return acc
 
-    def multiples(self, v: int):
-        """[a * v for every element code a], packed: entry a adds x^d * v
-        to entry a - p^d, for the lowest nonzero base-p digit d of a."""
-        p, pw, m = self.p, self.powers(v), [0]
-        for a in range(1, self.field.q):
-            d, pd = 0, 1
-            while a // pd % p == 0:
-                d, pd = d + 1, pd * p
-            m.append(self.add(m[a - pd], pw[d]))
-        return m
+
+class _Reducer:
+    """Incremental row reduction in one ``_Packing`` layout.
+
+    ``reduce`` clears a vector's lowest nonzero lane by the kept vector
+    pivoted there, v - c * b = v + scale(powers(b), -c), until the vector
+    is zero or has a pivot no kept vector has; then it is scaled to make
+    that pivot 1 and kept beside its ``powers``. A pivot is keyed by the
+    top bit of its lane: (v + low) & high has that bit for each nonzero
+    lane, and mask & -mask is the lowest.
+    """
+
+    def __init__(self, layout: _Packing):
+        self.layout = layout
+        self.kept = {}          # top bit of a pivot lane -> (vector, powers)
+
+    def reduce(self, v: int) -> int:
+        """Reduce v by the kept vectors, keep what is left, and return the
+        rank of every vector reduced so far."""
+        lay, kept = self.layout, self.kept
+        F, W, low, high = lay.field, lay.W, lay.low, lay.high
+        while v:
+            mask = (v + low) & high
+            top = (mask & -mask).bit_length()
+            c = lay.unlane[v >> top - W & lay.lane]
+            b = kept.get(top)
+            if b is None:
+                if c != 1:
+                    v = lay.scale(lay.powers(v), F.inv(c))
+                kept[top] = v, lay.powers(v)
+                break
+            v = lay.add(v, lay.scale(b[1], F.neg(c)))
+        return len(kept)
+
+    def span(self) -> "Matrix":
+        """The kept vectors as the rows of a packed matrix."""
+        return Matrix._of_packed(self.layout.field, self.layout,
+                                 tuple(v for v, _ in self.kept.values()))
 
 
 # ----------------------------------------------------------------------
@@ -497,44 +528,31 @@ class Matrix:
     def _eliminate(self):
         """(packed rows of the RREF, their pivot columns), computed once.
 
-        Each row is reduced against the rows kept so far, which are keyed
-        by the top bit of their pivot, their lowest nonzero lane; a row
-        left with a new pivot is scaled to make it 1 and kept. Back
-        substitution, highest pivot first, then clears each pivot column
-        in the rows of lower pivots. The RREF of a row space is unique, so
-        this is the schoolbook elimination's result.
+        Each row goes through a ``_Reducer``, which keeps it with its
+        pivot, its lowest nonzero lane, scaled to 1 when it has a pivot no
+        earlier row has. Back substitution then clears each kept row's
+        entries at the higher pivots, lowest first, by the kept rows as
+        they are: a kept row is zero below its pivot, so clearing one pivot
+        column leaves the lower ones clear. The RREF of a row space is
+        unique, so this is the schoolbook elimination's result.
         """
         if self._echelon is None:
             F, lay = self.field, self.layout
-            W, low, high, unlane = lay.W, lay.low, lay.high, lay.unlane
-            lane = (1 << W) - 1
-
-            def minus(v, b, c):                      # v - c * b
-                if F.q == 2:
-                    return v ^ b
-                return lay.add(v, lay.scale(lay.powers(b), F.neg(c)))
-
-            kept = {}
+            W, lane, unlane = lay.W, lay.lane, lay.unlane
+            reducer = _Reducer(lay)
             for v in self.packed:
-                while v:
-                    mask = (v + low) & high
-                    top = (mask & -mask).bit_length()
-                    c = unlane[v >> top - W & lane]
-                    b = kept.get(top)
-                    if b is None:
-                        kept[top] = v if c == 1 else \
-                            lay.scale(lay.powers(v), F.inv(c))
-                        break
-                    v = minus(v, b, c)
+                reducer.reduce(v)
+            kept = reducer.kept
             tops = sorted(kept)
-            for i in range(len(tops) - 1, 0, -1):
-                b, top = kept[tops[i]], tops[i]
-                for t in tops[:i]:
-                    c = unlane[kept[t] >> top - W & lane]
+            rows = []
+            for i, t in enumerate(tops):
+                v = kept[t][0]
+                for top in tops[i + 1:]:
+                    c = unlane[v >> top - W & lane]
                     if c:
-                        kept[t] = minus(kept[t], b, c)
-            self._echelon = (tuple(kept[t] for t in tops),
-                             tuple(t // W - 1 for t in tops))
+                        v = lay.add(v, lay.scale(kept[top][1], F.neg(c)))
+                rows.append(v)
+            self._echelon = tuple(rows), tuple(t // W - 1 for t in tops)
         return self._echelon
 
     def echelon(self) -> "Matrix":
@@ -553,8 +571,7 @@ class Matrix:
         """Basis matrix of the right null space; rank + nullity = ncols."""
         F, lay = self.field, self.layout
         packed, pivots = self._eliminate()
-        W, lanes, unlane = lay.W, lay.lanes, lay.unlane
-        lane = (1 << W) - 1
+        W, lane, lanes, unlane = lay.W, lay.lane, lay.lanes, lay.unlane
         basis = []
         for fc in sorted(set(range(self.ncols)).difference(pivots)):
             v = lanes[1] << fc * W

@@ -6,8 +6,10 @@ q - 1 scalar multiples, which share one support. The walk holds each
 codeword packed in a single int, so a step is one word-wide addition and a
 weight is one popcount; memory is O(n * e) whatever q^k is. Minimality is
 checked one class at a time: the columns where the class vanishes must span
-its hyperplane (``_short_span``). That rank test runs on a second walk, and
-only on classes heavy enough to cover another (Ashikhmin-Barg), which the
+its hyperplane (``_short_span``). That rank test feeds the columns, packed
+as vectors of length k, to the row reducer ``Matrix`` elimination runs on
+(``gf._Reducer``), in every field alike. It runs on a second walk, and only
+on classes heavy enough to cover another (Ashikhmin-Barg), which the
 distribution names.
 """
 
@@ -17,7 +19,7 @@ import os
 import random
 from collections import Counter
 
-from .gf import GF, Matrix, _Packing, point_position
+from .gf import GF, Matrix, _Packing, _Reducer, point_position
 
 ENUM_CAP = int(os.environ.get("ANTICODES_ENUM_CAP", 1 << 24))
 MINIMAL_CAP = int(os.environ.get("ANTICODES_MINIMAL_CAP", 1 << 20))
@@ -210,9 +212,10 @@ class LinearCode:
         return True, None
 
     def _witness(self, u, basis):
-        """(u'G, uG) for a u' that vanishes on ``basis``, not a multiple of u."""
+        """(u'G, uG) for a u' that vanishes on the rows of the matrix
+        ``basis``, not a multiple of u."""
         F = self.field
-        null = Matrix(F, basis or [[0] * self.k]).kernel()
+        null = basis.kernel()
         point = point_position(F, u)
         other = next(x for x in null.rows if point_position(F, x) != point)
         return self._codeword(other), self._codeword(u)
@@ -310,102 +313,29 @@ def _short_span(generator: Matrix):
     """The cutting-blocking-set test, one class at a time.
 
     ``generator`` is the matrix the class walk runs on. The returned function
-    takes a class's support mask and reduces the columns where the class
-    vanishes, lowest lane first, until they reach rank k - 1: then they
-    span the class's hyperplane and it returns None. If they fall short it
-    returns a basis of their span, as message-space vectors.
-
-    A column is packed like a codeword of length k, coordinate 0 in the top
-    lane. Basis vectors are kept unnormalised and keyed by the bit length
-    of their pivot, their top nonzero lane. Reducing by one adds the entry
-    of its table of multiples for the lane being cleared; the table is
-    built on the vector's first reduction, and a column that entered the
-    basis unreduced keeps its table for every class.
+    takes a class's support mask and feeds the columns where the class
+    vanishes, lowest lane first, to a fresh ``_Reducer`` until they reach
+    rank k - 1: then they span the class's hyperplane and it returns None.
+    If they fall short it returns their span as a packed matrix of
+    message-space vectors. Each column is packed once, as a vector of
+    length k.
     """
     field, k, n = generator.field, generator.nrows, generator.ncols
-    q = field.q
     if k == 1:                       # the hyperplane is {0}
         return lambda mask: None
     lay = _Packing(field, k)
-    W, lanes, target = lay.W, lay.lanes, k - 1
-    lane, unlane = (1 << W) - 1, lay.unlane
-    columns = [0] * n
-    for row in generator.rows:
-        columns = [v << W | lanes[x] for v, x in zip(columns, row)]
+    W, target = lay.W, k - 1
     at = [0] * ((n + 1) * W)         # mask bit length -> column
-    at[W::W] = columns
+    at[W::W] = map(lay.pack, generator.columns())
     zero_lanes = generator.layout.high
-
-    def unpack(v):
-        return [unlane[v >> (k - 1 - i) * W & lane] for i in range(k)]
-
-    if q == 2:                # a basis vector is its own table of multiples
-        def short(mask):
-            zeros = zero_lanes ^ mask
-            basis = [0] * (k + 1)
-            rank = 0
-            while zeros:
-                bit = zeros & -zeros
-                zeros ^= bit
-                v = at[bit.bit_length()]
-                while v:
-                    top = v.bit_length()
-                    b = basis[top]
-                    if not b:
-                        basis[top] = v
-                        rank += 1
-                        if rank == target:
-                            return None
-                        break
-                    v ^= b
-            return [unpack(b) for b in basis if b]
-        return short
-
-    p, w, low, high, guard, bump = (field.p, lay.w, lay.low, lay.high,
-                                    lay.guard, lay.bump)
-    odd = p > 2
-    raw, shared = set(columns), {}       # unreduced column -> its table
-    cancel = {}                          # pivot -> [(lane of x, -x / pivot)]
-
-    def table(b, top):
-        """Lane value x -> -(x / pivot) * b, packed."""
-        pivot = unlane[b >> top - W & lane]
-        pairs = cancel.get(pivot)
-        if pairs is None:
-            pairs = cancel[pivot] = [
-                (lanes[x], field.neg(field.div(x, pivot))) for x in range(1, q)]
-        m = lay.multiples(b)
-        return {x: m[c] for x, c in pairs}
 
     def short(mask):
         zeros = zero_lanes ^ mask
-        basis, tables = {}, {}
-        rank = 0
+        reducer = _Reducer(lay)
         while zeros:
             bit = zeros & -zeros
             zeros ^= bit
-            v = at[bit.bit_length()]
-            while v:
-                top = ((v + low) & high).bit_length()
-                b = basis.get(top)
-                if b is None:
-                    basis[top] = v
-                    rank += 1
-                    if rank == target:
-                        return None
-                    break
-                t = tables.get(top)
-                if t is None:
-                    t = shared.get(b)
-                    if t is None:
-                        t = table(b, top)
-                        if b in raw:
-                            shared[b] = t
-                    tables[top] = t
-                if odd:
-                    v += t[v >> top - W & lane]
-                    v -= (((v + bump) & guard) >> w - 1) * p
-                else:
-                    v ^= t[v >> top - W & lane]
-        return [unpack(b) for b in basis.values()]
+            if reducer.reduce(at[bit.bit_length()]) == target:
+                return None
+        return reducer.span()
     return short

@@ -75,6 +75,12 @@ def test_construct_over_the_length_cap_exits_2(capsys, monkeypatch):
     assert run(["construct", "simplex", "--q", "2", "--k", "20000"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: simplex(2,20000) length 2^19999+ over the cap"]
+    # a lift past the cap for every q is refused from K alone
+    assert run(["construct", "simplex", "--q", "3", "--k", "3",
+                "--K", str(10 ** 6)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: complement(simplex(3,3), K=1000000) "
+                   "length 2^999999+ over the cap"]
 
 
 def _distinct_builds():
@@ -277,6 +283,15 @@ def test_catalog_verify(capsys):
     assert "0 failed" in out
 
 
+def test_catalog_verify_has_no_csv_format(capsys):
+    # its rows print as text or JSON only
+    with pytest.raises(SystemExit) as exc:
+        run(["catalog", "verify", "--format", "csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'csv'" in err
+
+
 def test_catalog_verify_failing_manifest(tmp_path, capsys):
     doc = {"entries": [{
         "id": "wrong", "mode": "construct_and_enumerate",
@@ -417,6 +432,8 @@ def test_analyze_reducible_modulus_is_usage_error(tmp_path, capsys, modulus):
     {"weight_distribution": {"0": 1, "3": "1"}},
     {"field": {"p": 2, "e": 1, "modulus": [0, [1]]}},
     {"field": {"p": 2, "e": 1, "modulus": [0, True]}},
+    {"label": {"x": [1, 2]}},
+    {"label": 7},
 ])
 def test_analyze_malformed_code_file_is_usage_error(tmp_path, capsys, change):
     _assert_usage_error(_write_doc(tmp_path, _doc(**change)), capsys)
@@ -446,6 +463,13 @@ def test_analyze_hand_written_document(tmp_path, capsys):
     assert run(["analyze", str(_write_doc(tmp_path, _doc())),
                 "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 3
+
+
+def test_a_code_file_without_a_label_has_the_empty_label(tmp_path):
+    code = codefile.load_code(_write_doc(tmp_path, _doc(
+        label=None, n=2, k=2, generator=[[1, 0], [0, 1]])))
+    assert code.label == ""
+    assert cons.complement(code, K=3).label == "complement(points, K=3)"
 
 
 def test_analyze_oversized_integer_is_usage_error(tmp_path, capsys):

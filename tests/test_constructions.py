@@ -72,6 +72,21 @@ def test_every_builder_checks_the_length_cap(monkeypatch, build, what):
     assert cons.ovoid_code(4).n == 17
 
 
+def test_a_lift_past_the_cap_is_refused_from_k_alone(monkeypatch):
+    # the fewest points a lift to K keeps, PG(K-1, q) less q^(K-1) - 1 of
+    # them, is at least 2^(K-1): over a cap of b bits once K > b
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+        for K in range(1, 40):
+            assert (q ** K - 1) // (q - 1) - (q ** (K - 1) - 1) \
+                >= 2 ** (K - 1)
+    monkeypatch.setattr(cons, "LENGTH_CAP", 16)
+    with pytest.raises(CodeError, match=r"^simplex\(2,6\) length 2\^5\+ "):
+        cons.simplex(2, 6)
+    with pytest.raises(CodeError, match=r"^complement\(simplex\(2,3\), "
+                                        r"K=6\) length 2\^5\+ "):
+        cons.complement(cons.simplex(2, 3), K=6)
+
+
 def test_complement_reduces_redundant_ambient():
     # columns span a 5-dim space inside a 6-dim ambient
     code = cons.fixed_weight_anticode(6, 2)

@@ -8,6 +8,7 @@ import gc
 import random
 import tracemalloc
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,7 @@ from anticodes.constructions import (
     fixed_weight_anticode, kasami_code, prime_power, rs_code, simplex,
 )
 from anticodes.report import code_report
+from test_gf import schoolbook_rref
 
 F2 = field_make(2, 1)
 ORACLE_CAP = 1 << 12
@@ -380,6 +382,26 @@ def test_pruned_minimality_against_the_unpruned_walk(code):
     walk = [m.bit_count() for m in linear._classes(code.generator)]
     stop = len(walk) if ok else first + 1
     assert weights == [w for w in walk[:stop] if (q - 1) * w >= q * d]
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_codes())
+def test_rank_test_against_the_schoolbook_rank(code):
+    # for every class, short(mask) is None exactly when the columns where
+    # the class vanishes have rank k - 1, and otherwise spans those columns
+    F, k = code.field, code.k
+    short = linear._short_span(code.generator)
+    columns = code.generator.columns()
+    for index, mask in enumerate(linear._classes(code.generator)):
+        u = linear._class_message(F, k, index)
+        zeros = [col for col in columns
+                 if not reduce(F.add, map(F.mul, u, col), 0)]
+        want, _ = schoolbook_rref(F, zeros, k)
+        basis = short(mask)
+        if len(want) == k - 1:
+            assert basis is None
+        else:
+            assert schoolbook_rref(F, basis.rows, k)[0] == want
 
 
 def test_kasami_4_is_minimal(monkeypatch):
