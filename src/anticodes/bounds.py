@@ -1,14 +1,16 @@
 """Bound arithmetic: Griesmer sums, the floor-sum lower bound on diameters
-of projective codes, the binomial anticode bound, and optimality lookup.
+of projective codes, Kleitman's binary anticode bound, and optimality
+lookup.
 
 Everything is exact integer arithmetic; no floats anywhere.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from importlib import resources
+
+from .linear import decimal_limit, prints_in_decimal
 
 
 def griesmer_sum(q: int, k: int, d: int) -> int:
@@ -42,26 +44,25 @@ def plotkin_anticode_floor(q: int, n: int) -> int:
 
 
 def erdos_kleitman(n: int, delta: int) -> int | None:
-    """Binary anticode size bound: sum of C(n, i) for i <= floor(delta/2),
-    each binomial from the last, C(n, i+1) = C(n, i)(n - i)/(i + 1).
-    None once a partial sum has more decimal digits than Python prints
-    (``sys.get_int_max_str_digits()``; 0 is no limit)."""
+    """Kleitman's bound on a binary anticode of length n and diameter delta
+    (JCT 1, 1966): for delta < n, the sum of C(n, i), i <= delta/2, if
+    delta is even and twice that of C(n-1, i), i <= (delta-1)/2, if it is
+    odd; 2^n for delta = n. Each binomial comes from the last. None once a
+    sum has more decimal digits than Python prints (``decimal_limit``)."""
     if not 0 <= delta <= n:
         raise ValueError("need 0 <= delta <= n")
-    limit = sys.get_int_max_str_digits()
+    if delta == n:
+        return 1 << n if prints_in_decimal(2, n) else None
+    limit = decimal_limit()
     cap = 10 ** limit if limit else None
-    total, term = 0, 1
+    m, term = (n, 1) if delta % 2 == 0 else (n - 1, 2)
+    total = 0
     for i in range(delta // 2 + 1):
         total += term
         if cap is not None and total >= cap:
             return None
-        term = term * (n - i) // (i + 1)
+        term = term * (m - i) // (i + 1)
     return total
-
-
-def code_anticode_check(m_code: int, m_anticode: int, q: int, n: int) -> bool:
-    """|C| * |A| <= q^n (caller certifies diameter(A) <= d(C) - 1)."""
-    return m_code * m_anticode <= q ** n
 
 
 @dataclass

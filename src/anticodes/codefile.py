@@ -86,8 +86,11 @@ def code_from_dict(doc: dict) -> LinearCode:
             f"declared [{n},{k}] but generator is [{code.n},{code.k}]")
     cached = doc.get("weight_distribution")
     if cached is not None:
+        # a key longer than n's is no weight, and int() may refuse it
+        width = len(str(code.n))
         if not isinstance(cached, dict) or not all(
-                str(w).isdigit() and isinstance(c, int)
+                isinstance(w, str) and w.isascii() and w.isdigit()
+                and len(w) <= width and type(c) is int
                 for w, c in cached.items()):
             raise CodeError("weight_distribution must map weights to counts")
         # a claim: the first walk that counts weights checks it

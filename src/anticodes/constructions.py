@@ -11,14 +11,13 @@ byte-reproducible. The points of PG(K-1, q) are in the order of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
 
-from .gf import (GF, FieldError, check_row, field_make, project_to_subfield,
+from .gf import (GF, FieldError, field_make, project_to_subfield,
                  relative_trace, simplex_columns)
 from .linear import (CodeError, LinearCode, WeightDistribution,
-                     point_positions)
+                     decimal_limit, point_positions, prints_in_decimal)
 
 LENGTH_CAP = 1 << 20
 
@@ -40,28 +39,6 @@ def prime_power(q: int):
 
 def field_of_order(q: int) -> GF:
     return field_make(*prime_power(q))
-
-
-@dataclass
-class ProjectivePointSet:
-    """A duplicate-free set of projective points, order fixed.
-
-    Each point must have ``dim`` coordinates, each an element code of the
-    field. The points are kept as given, and ``positions`` holds each
-    one's position (``gf.point_position``).
-    """
-    field: GF
-    dim: int
-    points: list
-
-    def __post_init__(self):
-        self.points = [tuple(p) for p in self.points]
-        for p in self.points:
-            if len(p) != self.dim:
-                raise CodeError(
-                    f"point {p} has {len(p)} coordinates, expected {self.dim}")
-        check_row(self.field, list(chain.from_iterable(self.points)))
-        self.positions = point_positions(self.field, self.points)
 
 
 def _check_length(n: int, what: str) -> None:
@@ -99,31 +76,27 @@ def simplex(q: int, k: int) -> LinearCode:
     return _simplex_cut(field_of_order(q), k, (), f"simplex({q},{k})")
 
 
-def complement(source, K: int) -> LinearCode:
+def complement(source: LinearCode, K: int) -> LinearCode:
     """Delete the source's column set from the dimension-K simplex columns.
 
-    ``source`` is a LinearCode or a ProjectivePointSet; for K above the
-    source's ambient dimension the points are embedded by prefixing zeros,
-    which keeps their positions.
+    A point set is the code on those columns (``LinearCode.from_columns``).
+    For K above the source's ambient dimension the points are embedded by
+    prefixing zeros, which keeps their positions.
     """
     field = source.field
-    if isinstance(source, ProjectivePointSet):
-        dim, positions = source.dim, source.positions
-    else:
-        ambient = source.column_points
-        if ambient is None or ambient[0] > K >= source.k:
-            # no ambient columns, or redundant ambient coordinates: use
-            # coordinates in the row-space basis instead
-            ambient = source.k, zip(*source.generator.rows)
-        dim, columns = ambient
-        positions = point_positions(field, columns)
-    q = field.q
+    ambient = source.column_points
+    if ambient is None or ambient[0] > K >= source.k:
+        # no ambient columns, or redundant ambient coordinates: use
+        # coordinates in the row-space basis instead
+        ambient = source.k, zip(*source.generator.rows)
+    dim, columns = ambient
+    positions = point_positions(field, columns)
     if K < dim:
         raise CodeError(f"lift dimension {K} below ambient dimension {dim}")
-    label = f"complement({getattr(source, 'label', '') or 'points'}, K={K})"
+    label = f"complement({source.label or 'points'}, K={K})"
     _check_lift(K, label)
     n = len(positions)
-    if n >= q ** (K - 1):
+    if n >= field.q ** (K - 1):
         raise CodeError(f"complement needs n < q^(K-1), got n={n}, K={K}")
     code = _simplex_cut(field, K, sorted(positions), label)
     if code.k != K:
@@ -135,10 +108,15 @@ def transform_wd(base: WeightDistribution, K: int) -> WeightDistribution:
     """Weight distribution of the complement, lifted to dimension K, from
     the base distribution alone: each nonzero base weight w contributes
     q^(K-k) * A_w at weight q^(K-1) - w, plus q^(K-k) - 1 full-weight
-    codewords when K > k."""
+    codewords when K > k. Every number of the result is below q^K, which
+    is checked against the decimal limit before any power is formed."""
     q, k = base.q, base.k
     if K < k:
         raise CodeError(f"K={K} below base dimension {k}")
+    if not prints_in_decimal(q, K):
+        raise CodeError(
+            f"K={K}: counts up to {q}^{K} could exceed {decimal_limit()} decimal "
+            "digits, over the cap of integer printing (PYTHONINTMAXSTRDIGITS)")
     full = q ** (K - 1)
     counts = {0: 1}
     for w, c in base.counts.items():
@@ -155,8 +133,8 @@ def transform_wd(base: WeightDistribution, K: int) -> WeightDistribution:
 # moment-curve (Reed-Solomon) and trivial MDS complements
 # ----------------------------------------------------------------------
 
-def moment_curve_points(q: int, k: int) -> ProjectivePointSet:
-    """The q points (1, a, a^2, ..., a^(k-1)), a in GF(q); canonical as is.
+def moment_curve_points(q: int, k: int) -> LinearCode:
+    """The code on the q points (1, a, a^2, ..., a^(k-1)), a in GF(q).
 
     The set always has q points and spans min(k, q) dimensions: for k > q
     it lies in a proper subspace of PG(k-1, q).
@@ -165,17 +143,17 @@ def moment_curve_points(q: int, k: int) -> ProjectivePointSet:
         raise CodeError("need k >= 2 for a projective point set")
     field = field_of_order(q)
     pts = [tuple(field.pow(a, i) for i in range(k)) for a in range(q)]
-    return ProjectivePointSet(field, k, pts)
+    return LinearCode.from_columns(field, pts)
 
 
 def rs_code(q: int, k: int) -> LinearCode:
     """[q, k, q+1-k]_q evaluation code on the moment curve."""
     if not 2 <= k <= q:
         raise CodeError(f"rs_code needs 2 <= k <= q, got k={k}, q={q}")
-    pts = moment_curve_points(q, k)
-    code = LinearCode.from_columns(pts.field, pts.points, label=f"rs({q},{k})")
+    code = moment_curve_points(q, k)
     if code.k != k:
         raise CodeError("moment-curve matrix lost rank")
+    code.label = f"rs({q},{k})"
     return code
 
 
@@ -189,8 +167,7 @@ def complementary_rs(q: int, k: int, h: int = 0) -> LinearCode:
     """
     if h < 0:
         raise CodeError("lift h must be >= 0")
-    pts = moment_curve_points(q, k)
-    code = complement(pts, K=k + h)
+    code = complement(moment_curve_points(q, k), K=k + h)
     code.label = f"comp-rs({q},{k},h={h})"
     return code
 
@@ -201,7 +178,7 @@ def complementary_mds_trivial(q: int, k: int, h: int = 0) -> LinearCode:
         raise CodeError("need k >= 2")
     field = field_of_order(q)
     ident = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    code = complement(ProjectivePointSet(field, k, ident), K=k + h)
+    code = complement(LinearCode.from_columns(field, ident), K=k + h)
     code.label = f"comp-mds({q},{k},h={h})"
     return code
 

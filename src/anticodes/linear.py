@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from collections import Counter
 
 from .gf import GF, Matrix, _Packing, _Reducer, point_position
@@ -31,6 +32,27 @@ class CapExceeded(RuntimeError):
 
 class CodeError(ValueError):
     pass
+
+
+def decimal_limit() -> int:
+    """The most decimal digits Python converts an int to text, set by
+    PYTHONINTMAXSTRDIGITS; 0 is no limit, as on Pythons without it."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def prints_in_decimal(base: int, exp: int, shift: int = 0) -> bool:
+    """Whether base^exp * 2^shift is below 10^``decimal_limit()``, so that
+    every nonnegative int below it converts to text. The power is formed
+    only when bit lengths cannot settle it: 2^(3d) < 10^d < 2^(4d)."""
+    digits = decimal_limit()
+    if not digits:                           # no limit
+        return True
+    bits = base.bit_length()
+    if exp * bits + shift <= 3 * digits:
+        return True
+    if exp * (bits - 1) + shift >= 4 * digits:
+        return False
+    return base ** exp << shift < 10 ** digits
 
 
 class WeightDistribution:
@@ -109,9 +131,12 @@ class LinearCode:
     @classmethod
     def from_columns(cls, field: GF, columns, label: str = "") -> "LinearCode":
         """Code spanned by the rows of the matrix with the given columns,
-        which may repeat or be rank-deficient."""
-        return cls.from_column_matrix(field, Matrix(field, list(zip(*columns))),
-                                      label=label)
+        which may repeat or be rank-deficient but not differ in length."""
+        try:
+            rows = list(zip(*columns, strict=True))
+        except ValueError as exc:       # zip() argument i: the i-th column
+            raise CodeError(f"ragged columns: {exc}") from None
+        return cls.from_column_matrix(field, Matrix(field, rows), label=label)
 
     @classmethod
     def from_column_matrix(cls, field: GF, points: Matrix,

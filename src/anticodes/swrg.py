@@ -16,7 +16,6 @@ counts cost O(1) big-integer operations.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from . import linear
@@ -36,24 +35,17 @@ def _check_walk_length(l: int, n: int):
 
 def _check_printable(n: int, l: int):
     """CapExceeded when a number of the l-certificate of a length-n code
-    could have more decimal digits than Python converts to text
-    (``sys.get_int_max_str_digits``, set by PYTHONINTMAXSTRDIGITS), so
-    the certificate could not be written out.
+    could have more decimal digits than Python converts to text, so the
+    certificate could not be written out.
 
     Each |theta_i| is at most n, so every walk count and the collinearity
-    determinant is below 8 n^(l+1). The powers are compared exactly only
-    when bit lengths cannot settle it: 2^(3d) < 10^d < 2^(4d).
+    determinant is below 8 n^(l+1).
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not digits:                           # no limit
-        return
-    bits = n.bit_length()
-    if (l + 1) * bits + 3 <= 3 * digits:
-        return
-    if (l + 1) * (bits - 1) >= 4 * digits or 8 * n ** (l + 1) >= 10 ** digits:
+    if not linear.prints_in_decimal(n, l + 1, 3):
         raise CapExceeded(
-            f"walk counts for l={l}, n={n} could exceed {digits} decimal "
-            "digits, over the cap of integer printing (PYTHONINTMAXSTRDIGITS)")
+            f"walk counts for l={l}, n={n} could exceed "
+            f"{linear.decimal_limit()} decimal digits, over the cap of "
+            "integer printing (PYTHONINTMAXSTRDIGITS)")
 
 
 def spectrum_from_wd(wd: WeightDistribution) -> dict:

@@ -3,15 +3,20 @@
 import json
 import math
 import sys
+from functools import cache
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anticodes.bounds import (
     antigriesmer, antigriesmer_sum, best_known_table, bounds_report,
-    classify_optimality, code_anticode_check, erdos_kleitman, griesmer,
-    griesmer_sum, plotkin_anticode_floor,
+    classify_optimality, erdos_kleitman, griesmer, griesmer_sum,
+    plotkin_anticode_floor,
 )
+from anticodes.gf import field_make
+from anticodes.linear import LinearCode
 
 
 def test_griesmer_sum_known_values():
@@ -42,15 +47,71 @@ def test_plotkin_anticode_floor():
     assert plotkin_anticode_floor(4, 17) == 13          # ceil(51/4)
 
 
+def largest_anticode(n, delta):
+    """The most binary words of length n with pairwise distance at most
+    delta, by exhaustive search: a largest clique of the graph joining
+    words at distance <= delta, including or excluding the lowest
+    candidate word in turn."""
+    near = [sum(1 << v for v in range(1 << n) if (u ^ v).bit_count() <= delta)
+            for u in range(1 << n)]
+
+    @cache
+    def largest(candidates):
+        if not candidates:
+            return 0
+        low = candidates & -candidates
+        u = low.bit_length() - 1
+        return max(1 + largest(candidates & near[u] & ~low),
+                   largest(candidates & ~low))
+    return largest((1 << (1 << n)) - 1)
+
+
 def test_erdos_kleitman():
-    # sum of C(n, i) for i <= floor(delta/2)
-    assert erdos_kleitman(4, 2) == 1 + 4
+    # Kleitman (JCT 1, 1966): a sum of C(n, i) for even delta < n, twice a
+    # sum of C(n - 1, i) for odd delta < n, and 2^n at delta = n; the
+    # exhaustive search confirms all three for n <= 4
+    assert [largest_anticode(n, delta) for n, delta in
+            [(3, 3), (4, 2), (4, 3), (4, 4)]] == [8, 5, 8, 16]
+    for n in range(1, 5):
+        for delta in range(n + 1):
+            assert erdos_kleitman(n, delta) == largest_anticode(n, delta)
     assert erdos_kleitman(7, 4) == 1 + 7 + 21
+    assert erdos_kleitman(7, 5) == 2 * (1 + 6 + 15)
     with pytest.raises(ValueError):
         erdos_kleitman(4, 5)
-    assert all(erdos_kleitman(n, delta)
-               == sum(math.comb(n, i) for i in range(delta // 2 + 1))
+
+    def kleitman(n, delta):
+        if delta == n:
+            return 2 ** n
+        if delta % 2 == 0:
+            return sum(math.comb(n, i) for i in range(delta // 2 + 1))
+        return 2 * sum(math.comb(n - 1, i) for i in range(delta // 2 + 1))
+    assert all(erdos_kleitman(n, delta) == kleitman(n, delta)
                for n in range(30) for delta in range(n + 1))
+
+
+@st.composite
+def binary_projective_codes(draw):
+    """A binary projective [n, k] code: the k unit columns and distinct
+    other nonzero columns, n at most 2k, where odd delta and delta = n
+    are common."""
+    k = draw(st.integers(2, 7), label="k")
+    others = [c for c in range(1, 1 << k) if c & (c - 1)]
+    extra = draw(st.lists(st.sampled_from(others), unique=True,
+                          max_size=k), label="extra")
+    columns = [1 << i for i in range(k)] + extra
+    return LinearCode.from_columns(
+        field_make(2, 1), [tuple(c >> i & 1 for i in range(k))
+                           for c in columns])
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_projective_codes())
+def test_ek_bound_holds_for_binary_projective_codes(code):
+    # the 2^k codewords are an anticode of diameter delta
+    wd = code.weight_distribution()
+    report = bounds_report(2, code.n, code.k, wd.min_weight, wd.max_weight)
+    assert 2 ** code.k <= report.ek_bound
 
 
 def test_ek_bound_is_null_past_the_decimal_limit():
@@ -81,12 +142,6 @@ def test_ek_bound_at_the_decimal_limit():
         sys.set_int_max_str_digits(limit)
     assert printed == sum(math.comb(4095, i) for i in range(479))
     assert len(str(printed)) == 640
-
-
-def test_code_anticode_check():
-    # |C| * |A| <= q^n
-    assert code_anticode_check(2 ** 4, 2 ** 3, 2, 7)
-    assert not code_anticode_check(2 ** 4, 2 ** 4, 2, 7)
 
 
 def test_bounds_report_fields():

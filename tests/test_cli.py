@@ -434,6 +434,7 @@ def test_analyze_reducible_modulus_is_usage_error(tmp_path, capsys, modulus):
     {"field": {"p": 2, "e": 1, "modulus": [0, True]}},
     {"label": {"x": [1, 2]}},
     {"label": 7},
+    {"weight_distribution": {"0": 1, "3" * 5000: 1}},   # too long for int()
 ])
 def test_analyze_malformed_code_file_is_usage_error(tmp_path, capsys, change):
     _assert_usage_error(_write_doc(tmp_path, _doc(**change)), capsys)
@@ -479,6 +480,62 @@ def test_analyze_oversized_integer_is_usage_error(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(text)
     _assert_usage_error(path, capsys)
+
+
+# a file every command accepts (complement at K = 7), and crafted bad
+# copies of it, each refused on load by every command that reads one
+GOOD = codefile.code_to_dict(cons.complement(cons.dual_bch_code(3), K=6),
+                             with_distribution=True)
+ROWS, WD = GOOD["generator"], GOOD["weight_distribution"]
+BAD_INPUTS = {
+    "weight-key": {**GOOD, "weight_distribution": {**WD, "\u00b2": 0}},
+    "bool-count": {**GOOD, "weight_distribution": {**WD, "0": True}},
+    "ragged-rows": {**GOOD, "generator": [ROWS[0][:-1], *ROWS[1:]]},
+    "bad-element": {**GOOD, "generator": [[2, *ROWS[0][1:]], *ROWS[1:]]},
+    "non-monic-modulus": {**GOOD, "field": {"p": 2, "e": 1,
+                                            "modulus": [1, 0]}},
+    "rank-deficient": {**GOOD, "generator": [ROWS[1], *ROWS[1:]]},
+    "unknown-key": {**GOOD, "colour": "red"},
+}
+COMMANDS = [["analyze"], ["wd-transform"], ["swrg-verify"],
+            ["complement", "--K", "7"]]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_every_command_accepts_the_good_file(tmp_path, capsys, argv):
+    assert run([argv[0], str(_write_doc(tmp_path, GOOD)), *argv[1:]]) == 0
+
+
+@pytest.mark.parametrize("argv, doc", [
+    *[(argv, BAD_INPUTS[bad]) for argv in COMMANDS for bad in BAD_INPUTS],
+    (["wd-transform", "--K", "10000"],
+     codefile.code_to_dict(cons.simplex(3, 3), with_distribution=True)),
+], ids=[*(f"{argv[0]}-{bad}" for argv in COMMANDS for bad in BAD_INPUTS),
+        "wd-transform-huge-K"])
+def test_a_bad_input_is_one_error_line(tmp_path, capsys, argv, doc):
+    path = _write_doc(tmp_path, doc)
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_wd_transform_prints_up_to_the_decimal_limit(tmp_path, capsys):
+    # 3^9000 has 4295 digits, under the default limit of 4300; at 640 it
+    # is refused, and the largest K left is the last with 3^K < 10^640
+    path = _write_doc(tmp_path, codefile.code_to_dict(
+        cons.simplex(3, 3), with_distribution=True))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert run(["wd-transform", str(path), "--K", "9000"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 9000
+        sys.set_int_max_str_digits(640)
+        top = max(K for K in range(1400) if 3 ** K < 10 ** 640)
+        assert run(["wd-transform", str(path), "--K", str(top)]) == 0
+        capsys.readouterr()
+        assert run(["wd-transform", str(path), "--K", str(top + 1)]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

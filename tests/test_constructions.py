@@ -37,9 +37,8 @@ def test_simplex_parameters():
 
 def test_complement_of_subspace_points():
     # delete a line's 3 points from the 15-point space: [12,4,6]_2
-    line = cons.ProjectivePointSet(
-        field_make(2, 1), 4,
-        [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])
+    line = LinearCode.from_columns(
+        field_make(2, 1), [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])
     code = cons.complement(line, K=4)
     assert (code.n, code.k, code.min_distance()) == (12, 4, 6)
 
@@ -176,25 +175,33 @@ def test_concatenation_with_simplex():
 
 
 def test_point_set_rejects_duplicates_and_zero():
+    # a point set is the code on its columns; its complement places them
     F = field_make(2, 1)
-    with pytest.raises(CodeError):
-        cons.ProjectivePointSet(F, 2, [(1, 0), (1, 0)])
-    with pytest.raises(CodeError):
-        cons.ProjectivePointSet(F, 2, [(0, 0)])
+    with pytest.raises(CodeError, match="repeated projective point"):
+        cons.complement(LinearCode.from_columns(F, [(1, 0), (1, 0)]), K=3)
+    with pytest.raises(CodeError, match="zero column"):
+        cons.complement(LinearCode.from_columns(F, [(1, 0), (0, 0)]), K=3)
 
 
 def test_point_set_checks_its_coordinates():
     F = field_make(2, 2)
     for bad in [(1, 0, -1), (1, 0, 5), (1, 0, 1.0), (2, "1", 0)]:
         with pytest.raises(FieldError):
-            cons.ProjectivePointSet(F, 3, [(1, 0, 0), bad])
+            LinearCode.from_columns(F, [(1, 0, 0), bad])
     for short in [(1, 0), (0, 1, 0, 0)]:
-        with pytest.raises(CodeError):
-            cons.ProjectivePointSet(F, 3, [short])
-    # a valid point is kept as given, at the position of (0, 1, 2)
-    points = cons.ProjectivePointSet(F, 3, [(0, 2, 3)])
-    assert points.points == [(0, 2, 3)]
-    assert points.positions == [projective_points(F, 3).index((0, 1, 2))]
+        with pytest.raises(CodeError, match="ragged columns"):
+            LinearCode.from_columns(F, [(1, 0, 0), short])
+    # a valid point is kept as given, and its complement deletes the
+    # position of (0, 1, 2)
+    points = LinearCode.from_columns(F, [(0, 2, 3)])
+    assert points.column_points == (3, [(0, 2, 3)])
+    space = projective_points(F, 3)
+    assert cons.complement(points, K=3).column_points == \
+        (3, [p for p in space if p != (0, 1, 2)])
+    # below its ambient dimension a rank-deficient set, like any code,
+    # takes coordinates in its row-space basis: here the one point (1)
+    assert cons.complement(points, K=2).column_points == \
+        (2, [p for p in projective_points(F, 2) if p != (0, 1)])
 
 
 def test_field_of_order_rejects_non_prime_power():
@@ -321,7 +328,7 @@ def test_complement_and_simplex_match_the_tuple_route(data):
     deleted = {(0,) * (K - dim) + p for p in S}
     kept = [p for p in projective_points(field, K) if p not in deleted]
     want_rank = LinearCode.from_columns(field, kept).k
-    points = cons.ProjectivePointSet(field, dim, given_points)
+    points = LinearCode.from_columns(field, given_points)
     if want_rank != K:
         with pytest.raises(CodeError, match="rank"):
             cons.complement(points, K=K)
