@@ -7,7 +7,6 @@ Everything is exact integer arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .linear import decimal_limit, prints_in_decimal
@@ -48,72 +47,47 @@ def erdos_kleitman(n: int, delta: int) -> int | None:
     (JCT 1, 1966): for delta < n, the sum of C(n, i), i <= delta/2, if
     delta is even and twice that of C(n-1, i), i <= (delta-1)/2, if it is
     odd; 2^n for delta = n. Each binomial comes from the last. None once a
-    sum has more decimal digits than Python prints (``decimal_limit``)."""
+    sum has more decimal digits than a result may (``decimal_limit``)."""
     if not 0 <= delta <= n:
         raise ValueError("need 0 <= delta <= n")
     if delta == n:
         return 1 << n if prints_in_decimal(2, n) else None
-    limit = decimal_limit()
-    cap = 10 ** limit if limit else None
+    cap = 10 ** decimal_limit()
     m, term = (n, 1) if delta % 2 == 0 else (n - 1, 2)
     total = 0
     for i in range(delta // 2 + 1):
         total += term
-        if cap is not None and total >= cap:
+        if total >= cap:
             return None
         term = term * (m - i) // (i + 1)
     return total
 
 
-@dataclass
-class BoundsReport:
-    q: int
-    n: int
-    k: int
-    d: int
-    delta: int
-    griesmer_sum: int
-    griesmer_defect: int
-    antigriesmer_sum: int
-    antigriesmer_defect: int
-    antigriesmer_holds: bool
-    antigriesmer_applicable: bool  # n < q^(k-1)
-    plotkin_anticode_floor: int
-    ek_bound: int | None  # binary only, and None past the decimal limit
-    prop_delta_ge_k: bool
-
-    def to_dict(self):
-        return dict(self.__dict__)
-
-
-def bounds_report(q: int, n: int, k: int, d: int, delta: int) -> BoundsReport:
+def bounds_report(q: int, n: int, k: int, d: int, delta: int) -> dict:
+    """The bounds of an [n, k, d]_q code of diameter delta, as printed:
+    the Griesmer and antiGriesmer sums and defects; whether the
+    antiGriesmer bound ``antigriesmer_holds`` and applies
+    (``antigriesmer_applicable``: n < q^(k-1)); the Plotkin anticode
+    floor; the Erdos-Kleitman bound ``ek_bound`` (binary only, None
+    otherwise and past the decimal limit); and ``prop_delta_ge_k``."""
     ek = erdos_kleitman(n, delta) if q == 2 else None
     gs, gd = griesmer(q, k, d, n)
     ags, agd, holds = antigriesmer(q, k, delta, n)
-    return BoundsReport(
-        q=q, n=n, k=k, d=d, delta=delta,
-        griesmer_sum=gs, griesmer_defect=gd,
-        antigriesmer_sum=ags, antigriesmer_defect=agd, antigriesmer_holds=holds,
-        antigriesmer_applicable=n < q ** (k - 1),
-        plotkin_anticode_floor=plotkin_anticode_floor(q, n),
-        ek_bound=ek,
-        prop_delta_ge_k=delta >= k,
-    )
+    return {
+        "q": q, "n": n, "k": k, "d": d, "delta": delta,
+        "griesmer_sum": gs, "griesmer_defect": gd,
+        "antigriesmer_sum": ags, "antigriesmer_defect": agd,
+        "antigriesmer_holds": holds,
+        "antigriesmer_applicable": n < q ** (k - 1),
+        "plotkin_anticode_floor": plotkin_anticode_floor(q, n),
+        "ek_bound": ek,
+        "prop_delta_ge_k": delta >= k,
+    }
 
 
 # ----------------------------------------------------------------------
 # best-known minimum distances (static, literature-cited entries only)
 # ----------------------------------------------------------------------
-
-@dataclass
-class Optimality:
-    status: str  # "optimal" | "almost_optimal" | "distance_to_best" | "unknown"
-    best: int | None = None
-    distance_to_best: int | None = None
-
-    def to_dict(self):
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
 
 _BEST_KNOWN = None
 
@@ -138,14 +112,17 @@ def best_known_table() -> dict:
     return _BEST_KNOWN
 
 
-def classify_optimality(n: int, k: int, q: int, d: int, table=None) -> Optimality:
-    """Never guesses: unknown when the table has no entry for (q, n, k)."""
-    table = best_known_table() if table is None else table
-    best = table.get((q, n, k))
+def classify_optimality(n: int, k: int, q: int, d: int) -> dict:
+    """{"status": "optimal" | "almost_optimal" | "distance_to_best" |
+    "unknown", "best": d_best, "distance_to_best": d_best - d}, holding
+    only the entries the status has. Never guesses: unknown when the
+    table has no entry for (q, n, k)."""
+    best = best_known_table().get((q, n, k))
     if best is None:
-        return Optimality("unknown")
+        return {"status": "unknown"}
     if d == best:
-        return Optimality("optimal", best=best)
+        return {"status": "optimal", "best": best}
     if d == best - 1:
-        return Optimality("almost_optimal", best=best)
-    return Optimality("distance_to_best", best=best, distance_to_best=best - d)
+        return {"status": "almost_optimal", "best": best}
+    return {"status": "distance_to_best", "best": best,
+            "distance_to_best": best - d}

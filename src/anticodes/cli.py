@@ -98,8 +98,7 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     code = codefile.load_code(args.file)
-    report = code_report(code)
-    _emit(_render(report.to_dict(), args.format), args.out)
+    _emit(_render(code_report(code), args.format), args.out)
     return EXIT_OK
 
 
@@ -128,8 +127,8 @@ def cmd_wd_transform(args) -> int:
 def cmd_swrg_verify(args) -> int:
     code = codefile.load_code(args.file)
     cert = verify_swrg(code, l=args.l)
-    _emit(_render(cert.to_dict(), args.format), args.out)
-    return EXIT_OK if cert.verdict == "is_l_swrg" else EXIT_MISMATCH
+    _emit(_render(cert, args.format), args.out)
+    return EXIT_OK if cert["verdict"] == "is_l_swrg" else EXIT_MISMATCH
 
 
 def cmd_catalog(args) -> int:

@@ -560,10 +560,6 @@ class Matrix:
         echelon = self._eliminate()
         return Matrix._of_packed(self.field, self.layout, echelon[0], echelon)
 
-    def rref(self):
-        """(reduced rows, pivot column list); reduced rows exclude zero rows."""
-        return self.echelon().rows, list(self._eliminate()[1])
-
     def rank(self) -> int:
         return len(self._eliminate()[0])
 
@@ -580,8 +576,7 @@ class Matrix:
                 if c:
                     v |= lanes[F.neg(c)] << pc * W
             basis.append(v)
-        return Matrix._of_packed(F, lay, tuple(basis)) if basis \
-            else Matrix(F, [])
+        return Matrix._of_packed(F, lay, tuple(basis))
 
 
 # ----------------------------------------------------------------------

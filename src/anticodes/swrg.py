@@ -16,8 +16,6 @@ counts cost O(1) big-integer operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linear
 from .linear import CapExceeded, CodeError, LinearCode, WeightDistribution
 
@@ -35,8 +33,8 @@ def _check_walk_length(l: int, n: int):
 
 def _check_printable(n: int, l: int):
     """CapExceeded when a number of the l-certificate of a length-n code
-    could have more decimal digits than Python converts to text, so the
-    certificate could not be written out.
+    could have more decimal digits than ``linear.decimal_limit()``, so the
+    certificate could not be written out, or not in reasonable time.
 
     Each |theta_i| is at most n, so every walk count and the collinearity
     determinant is below 8 n^(l+1).
@@ -55,28 +53,7 @@ def spectrum_from_wd(wd: WeightDistribution) -> dict:
     return {wd.n - 2 * w: c for w, c in sorted(wd.counts.items())}
 
 
-@dataclass
-class SwrgCertificate:
-    l: int
-    n: int
-    k: int
-    weights: list
-    spectrum: dict
-    conditions_weight_sum: bool   # w1 + w2 + w3 = 3n/2
-    conditions_middle: bool       # w2 = n/2
-    walk_counts: tuple | None     # (lambda_l, mu_l, nu_l)
-    analytic_l3: tuple | None     # walk_counts when l = 3
-    root_equation_holds: bool | None
-    verdict: str                  # is_l_swrg | not_l_swrg | conditions_unmet
-    witness: int | None = None    # the nonzero collinearity determinant
-
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["spectrum"] = {str(ev): m for ev, m in self.spectrum.items()}
-        return d
-
-
-def certificate(wd: WeightDistribution, l: int) -> SwrgCertificate:
+def certificate(wd: WeightDistribution, l: int) -> dict:
     """The l-SWRG certificate of the coset graph of a binary projective
     three-weight [n, k] code with distribution ``wd``.
 
@@ -88,6 +65,16 @@ def certificate(wd: WeightDistribution, l: int) -> SwrgCertificate:
     eigenvector and equals mu J with mu = (n^l - s n - t) / 2^k, and the
     walk counts between adjacent, non-adjacent and identical vertices are
     (s + mu, mu, t + mu).
+
+    The certificate, in its printed key order: l, n, k, the nonzero
+    ``weights``, the ``spectrum`` {str(n - 2w): A_w},
+    ``conditions_weight_sum`` (w1 + w2 + w3 = 3n/2), ``conditions_middle``
+    (w2 = n/2), ``walk_counts`` (lambda_l, mu_l, nu_l) or None,
+    ``analytic_l3`` (the walk counts when l = 3, else None),
+    ``root_equation_holds``, the ``verdict`` (is_l_swrg, not_l_swrg, or
+    conditions_unmet when the counts are constant but neither condition
+    holds) and the ``witness``, the collinearity determinant D when it is
+    nonzero, else None.
     """
     if wd.q != 2:
         raise CodeError("coset graph needs a binary code")
@@ -116,25 +103,24 @@ def certificate(wd: WeightDistribution, l: int) -> SwrgCertificate:
     if counts is None:
         verdict = "not_l_swrg"
     elif not cond_sum and not cond_mid:
-        # constant counts found anyway; record but flag the unmet conditions
         verdict = "conditions_unmet"
     else:
         verdict = "is_l_swrg"
 
-    return SwrgCertificate(
-        l=l, n=n, k=k, weights=weights,
-        spectrum=spectrum_from_wd(wd),
-        conditions_weight_sum=cond_sum,
-        conditions_middle=cond_mid,
-        walk_counts=counts,
-        analytic_l3=counts if l == 3 else None,
-        root_equation_holds=root_eq,
-        verdict=verdict,
-        witness=det or None,
-    )
+    return {
+        "l": l, "n": n, "k": k, "weights": weights,
+        "spectrum": {str(ev): m for ev, m in spectrum_from_wd(wd).items()},
+        "conditions_weight_sum": cond_sum,
+        "conditions_middle": cond_mid,
+        "walk_counts": counts,
+        "analytic_l3": counts if l == 3 else None,
+        "root_equation_holds": root_eq,
+        "verdict": verdict,
+        "witness": det or None,
+    }
 
 
-def verify_swrg(code: LinearCode, l: int = 3) -> SwrgCertificate:
+def verify_swrg(code: LinearCode, l: int = 3) -> dict:
     """Certify l-strong-walk-regularity of the coset graph of a binary
     three-weight projective code from its counted weight distribution.
 

@@ -138,10 +138,10 @@ def test_08_concatenation():
 def test_09_swrg_certificates():
     code = cons.complement(cons.dual_bch_code(3), K=6)
     cert = verify_swrg(code, l=3)
-    assert cert.verdict == "is_l_swrg"
-    assert cert.walk_counts == (2746, 2730, 2730)
-    assert cert.analytic_l3 == (2746, 2730, 2730)
-    assert cert.spectrum == {56: 1, 4: 7, 0: 35, -4: 21}
+    assert cert["verdict"] == "is_l_swrg"
+    assert cert["walk_counts"] == (2746, 2730, 2730)
+    assert cert["analytic_l3"] == (2746, 2730, 2730)
+    assert cert["spectrum"] == {"56": 1, "4": 7, "0": 35, "-4": 21}
     # independent brute force: cube the full 64x64 adjacency matrix of the
     # Cayley graph with the generator columns as connection set
     conn = {sum(x << i for i, x in enumerate(col))
@@ -154,9 +154,9 @@ def test_09_swrg_certificates():
     assert {row3[v] for v in range(1, 64) if v not in conn} == {2730}
     assert row3[0] == 2730
     cert5 = verify_swrg(code, l=5)
-    assert cert5.verdict == "is_l_swrg"
-    assert cert5.conditions_middle          # w2 = n/2
-    assert cert5.root_equation_holds
+    assert cert5["verdict"] == "is_l_swrg"
+    assert cert5["conditions_middle"]       # w2 = n/2
+    assert cert5["root_equation_holds"]
 
 
 def test_10_bound_properties_across_catalog(entries):

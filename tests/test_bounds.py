@@ -111,7 +111,7 @@ def test_ek_bound_holds_for_binary_projective_codes(code):
     # the 2^k codewords are an anticode of diameter delta
     wd = code.weight_distribution()
     report = bounds_report(2, code.n, code.k, wd.min_weight, wd.max_weight)
-    assert 2 ** code.k <= report.ek_bound
+    assert 2 ** code.k <= report["ek_bound"]
 
 
 def test_ek_bound_is_null_past_the_decimal_limit():
@@ -119,9 +119,9 @@ def test_ek_bound_is_null_past_the_decimal_limit():
     sys.set_int_max_str_digits(640)                     # the least allowed
     try:
         # the [4095, 12] simplex: the bound has about 1000 digits
-        big = bounds_report(2, 4095, 12, 2048, 2048).to_dict()
+        big = bounds_report(2, 4095, 12, 2048, 2048)
         # below the limit the bound prints as before
-        small = bounds_report(2, 2000, 11, 1000, 1000).to_dict()
+        small = bounds_report(2, 2000, 11, 1000, 1000)
         assert json.loads(json.dumps(big))["ek_bound"] is None
         assert json.loads(json.dumps(small))["ek_bound"] \
             == erdos_kleitman(2000, 1000)
@@ -134,8 +134,8 @@ def test_ek_bound_at_the_decimal_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        below = bounds_report(2, 4095, 12, 2048, 956).to_dict()
-        above = bounds_report(2, 4095, 12, 2048, 958).to_dict()
+        below = bounds_report(2, 4095, 12, 2048, 956)
+        above = bounds_report(2, 4095, 12, 2048, 958)
         printed = json.loads(json.dumps(below))["ek_bound"]
         assert json.loads(json.dumps(above))["ek_bound"] is None
     finally:
@@ -146,17 +146,17 @@ def test_ek_bound_at_the_decimal_limit():
 
 def test_bounds_report_fields():
     r = bounds_report(2, 56, 6, 26, 30)
-    assert r.griesmer_defect == 3
-    assert r.antigriesmer_defect == 0 and r.antigriesmer_holds
-    assert not r.antigriesmer_applicable                # 56 >= 2^5
-    assert r.plotkin_anticode_floor == 28
-    assert r.prop_delta_ge_k
-    assert r.ek_bound is not None
+    assert r["griesmer_defect"] == 3
+    assert r["antigriesmer_defect"] == 0 and r["antigriesmer_holds"]
+    assert not r["antigriesmer_applicable"]             # 56 >= 2^5
+    assert r["plotkin_anticode_floor"] == 28
+    assert r["prop_delta_ge_k"]
+    assert r["ek_bound"] is not None
     r3 = bounds_report(3, 32, 4, 21, 24)
-    assert r3.ek_bound is None                          # binary only
-    assert not r3.antigriesmer_applicable               # 32 >= 3^3
-    assert bounds_report(3, 8, 4, 3, 6).antigriesmer_applicable
-    assert r3.to_dict()["q"] == 3
+    assert r3["ek_bound"] is None                       # binary only
+    assert not r3["antigriesmer_applicable"]            # 32 >= 3^3
+    assert bounds_report(3, 8, 4, 3, 6)["antigriesmer_applicable"]
+    assert r3["q"] == 3
 
 
 def test_best_known_table_loads():
@@ -182,11 +182,11 @@ def test_best_known_rows_meet_the_griesmer_bound():
 
 
 def test_classify_optimality():
-    assert classify_optimality(29, 5, 2, 14).status == "optimal"
+    assert classify_optimality(29, 5, 2, 14)["status"] == "optimal"
     almost = classify_optimality(46, 6, 2, 21)
-    assert (almost.status, almost.best) == ("almost_optimal", 22)
+    assert (almost["status"], almost["best"]) == ("almost_optimal", 22)
     gap = classify_optimality(46, 6, 2, 20)
-    assert (gap.status, gap.distance_to_best) == ("distance_to_best", 2)
-    assert classify_optimality(9999, 5, 2, 3).status == "unknown"
-    assert classify_optimality(29, 5, 2, 14).to_dict() == \
+    assert (gap["status"], gap["distance_to_best"]) == ("distance_to_best", 2)
+    assert classify_optimality(9999, 5, 2, 3)["status"] == "unknown"
+    assert classify_optimality(29, 5, 2, 14) == \
         {"status": "optimal", "best": 14}

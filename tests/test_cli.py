@@ -141,6 +141,84 @@ def test_analyze_formats(tmp_path, code_file, capsys):
         assert "griesmer" in out
 
 
+# the printed layouts, byte for byte: keys in report order, nested keys
+# dotted; text aligns the values two spaces after the longest key, csv
+# ends rows in \r\n (the csv module's default) and writes None as ""
+ANALYZE_S23_TEXT = """\
+n                               7
+k                               3
+q                               2
+d                               4
+delta                           4
+t                               1
+weights                         [4]
+distribution.0                  1
+distribution.4                  7
+projective                      True
+minimal_exact                   True
+minimal_witness                 None
+ab_criterion                    True
+bounds.q                        2
+bounds.n                        7
+bounds.k                        3
+bounds.d                        4
+bounds.delta                    4
+bounds.griesmer_sum             7
+bounds.griesmer_defect          0
+bounds.antigriesmer_sum         7
+bounds.antigriesmer_defect      0
+bounds.antigriesmer_holds       True
+bounds.antigriesmer_applicable  False
+bounds.plotkin_anticode_floor   4
+bounds.ek_bound                 29
+bounds.prop_delta_ge_k          True
+optimality.status               unknown
+label                           simplex(2,3)
+"""
+ANALYZE_S23_CSV = "".join(f"{row}\r\n" for row in [
+    "key,value", "n,7", "k,3", "q,2", "d,4", "delta,4", "t,1",
+    "weights,[4]", "distribution.0,1", "distribution.4,7",
+    "projective,True", "minimal_exact,True", "minimal_witness,",
+    "ab_criterion,True", "bounds.q,2", "bounds.n,7", "bounds.k,3",
+    "bounds.d,4", "bounds.delta,4", "bounds.griesmer_sum,7",
+    "bounds.griesmer_defect,0", "bounds.antigriesmer_sum,7",
+    "bounds.antigriesmer_defect,0", "bounds.antigriesmer_holds,True",
+    "bounds.antigriesmer_applicable,False",
+    "bounds.plotkin_anticode_floor,4", "bounds.ek_bound,29",
+    "bounds.prop_delta_ge_k,True", "optimality.status,unknown",
+    'label,"simplex(2,3)"'])
+SWRG_C56_L3_TEXT = """\
+l                      3
+n                      56
+k                      6
+weights                [26, 28, 30]
+spectrum.56            1
+spectrum.4             7
+spectrum.0             35
+spectrum.-4            21
+conditions_weight_sum  True
+conditions_middle      True
+walk_counts            (2746, 2730, 2730)
+analytic_l3            (2746, 2730, 2730)
+root_equation_holds    True
+verdict                is_l_swrg
+witness                None
+"""
+
+
+def test_printed_layouts(tmp_path, code_file, capsys):
+    # simplex(2,3) is [7,3,4]_2 with A_4 = 7: every Griesmer and
+    # antiGriesmer sum is 4 + 2 + 1, the Erdos-Kleitman bound 1 + 7 + 21
+    assert run(["analyze", str(code_file), "--format", "text"]) == 0
+    assert capsys.readouterr().out == ANALYZE_S23_TEXT
+    assert run(["analyze", str(code_file), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == ANALYZE_S23_CSV
+    comp = tmp_path / "c56.json"
+    codefile.save_code(cons.complement(cons.dual_bch_code(3), K=6), comp)
+    assert run(["swrg-verify", str(comp), "--format", "text"]) == 0
+    assert capsys.readouterr().out == SWRG_C56_L3_TEXT
+
+
 def test_parser_keeps_no_state_between_calls(tmp_path, code_file, capsys):
     assert build_parser() is build_parser()      # built once per process
     text = tmp_path / "report.txt"

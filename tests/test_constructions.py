@@ -1,6 +1,7 @@
 """Construction families, complements, and the distribution transform."""
 
 import re
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -111,6 +112,20 @@ def test_transform_rejects_small_K():
     wd = WeightDistribution(2, 7, 3, {0: 1, 4: 7})
     with pytest.raises(CodeError):
         cons.transform_wd(wd, 2)
+
+
+def test_transform_keeps_the_print_ceiling_when_the_limit_is_lifted():
+    # with Python's limit lifted (0), counts up to 3^100000 (47713 digits)
+    # still print, and 3^200000 (95425 digits) is over the ceiling
+    wd = cons.simplex(3, 3).weight_distribution()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cons.transform_wd(wd, 100000).k == 100000
+        with pytest.raises(CodeError):
+            cons.transform_wd(wd, 200000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rs_code_is_mds():

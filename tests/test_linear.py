@@ -6,6 +6,7 @@ codewords, and against a literal pairwise minimality check on its output.
 
 import gc
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -238,6 +239,17 @@ def test_minimality_cap(monkeypatch):
     monkeypatch.setattr(linear, "MINIMAL_CAP", 8)
     with pytest.raises(CapExceeded):
         simplex(2, 4).is_minimal_exact()
+
+
+def test_decimal_limit_is_pythons_under_a_ceiling():
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits, want in ((640, 640), (0, linear.DECIMAL_CEILING),
+                             (10 ** 6, linear.DECIMAL_CEILING)):
+            sys.set_int_max_str_digits(digits)
+            assert linear.decimal_limit() == want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_from_columns_records_ambient_points():
@@ -474,7 +486,7 @@ def test_analyze_counts_then_rank_walks_to_the_first_failure(p, e, rows,
             yield mask
     monkeypatch.setattr(linear, "_classes", counted)
     report = code_report(code)
-    assert report.minimal_exact is False
+    assert report["minimal_exact"] is False
     # one counting walk over every class, then the rank walk up to and
     # including the first class that fails
     assert walked[0] == (F.q ** code.k - 1) // (F.q - 1) + first + 1
@@ -482,8 +494,8 @@ def test_analyze_counts_then_rank_walks_to_the_first_failure(p, e, rows,
     # the witness is the first failing class's, as when nothing is pruned
     monkeypatch.setattr(linear, "ENUM_CAP", 1)
     fresh = LinearCode.from_generator(F, rows)
-    assert fresh.is_minimal_exact() == (False, report.minimal_witness) \
-        == (False, witness)
+    assert fresh.is_minimal_exact() == (False, witness)
+    assert report["minimal_witness"] == [list(c) for c in witness]
     assert fresh._wd is None
 
 

@@ -10,6 +10,7 @@ and ``bfs_walk_counts``, an l-step walk over every vertex.
 """
 
 import random
+import sys
 from collections import Counter
 from operator import add, sub
 
@@ -146,45 +147,45 @@ def test_walk_counts_need_odd_l(code_56):
 def test_analytic_l3_closed_form(code_56):
     assert closed_form_l3(56, 6, 26) == (2746, 2730, 2730)
     cert = certificate(code_56.weight_distribution(), 3)
-    assert cert.analytic_l3 == cert.walk_counts == (2746, 2730, 2730)
-    assert verify_swrg(code_56, l=5).analytic_l3 is None
+    assert cert["analytic_l3"] == cert["walk_counts"] == (2746, 2730, 2730)
+    assert verify_swrg(code_56, l=5)["analytic_l3"] is None
 
 
 def test_certify_l3(code_56):
     cert = verify_swrg(code_56, l=3)
-    assert cert.verdict == "is_l_swrg"
-    assert cert.walk_counts == (2746, 2730, 2730)
-    assert cert.analytic_l3 == cert.walk_counts
-    assert cert.conditions_weight_sum and cert.conditions_middle
-    assert cert.root_equation_holds
-    assert cert.spectrum == {56: 1, 4: 7, 0: 35, -4: 21}
-    assert cert.witness is None
+    assert cert["verdict"] == "is_l_swrg"
+    assert cert["walk_counts"] == (2746, 2730, 2730)
+    assert cert["analytic_l3"] == cert["walk_counts"]
+    assert cert["conditions_weight_sum"] and cert["conditions_middle"]
+    assert cert["root_equation_holds"]
+    assert cert["spectrum"] == {"56": 1, "4": 7, "0": 35, "-4": 21}
+    assert cert["witness"] is None
 
 
 def test_certify_l5(code_56):
     cert = verify_swrg(code_56, l=5)
-    assert cert.verdict == "is_l_swrg"
-    lam, mu, nu = cert.walk_counts
+    assert cert["verdict"] == "is_l_swrg"
+    lam, mu, nu = cert["walk_counts"]
     assert mu == nu and lam - mu == 256
-    assert cert.root_equation_holds
+    assert cert["root_equation_holds"]
 
 
 def test_certify_kasami_complement():
     code = cons.complement(cons.kasami_code(2), K=6)    # [48,6,22]
     cert = verify_swrg(code, l=3)
-    assert cert.verdict == "is_l_swrg"
-    assert cert.walk_counts == closed_form_l3(48, 6, 22)
-    assert cert.walk_counts == transform_walk_counts(code, 3)
+    assert cert["verdict"] == "is_l_swrg"
+    assert cert["walk_counts"] == closed_form_l3(48, 6, 22)
+    assert cert["walk_counts"] == transform_walk_counts(code, 3)
 
 
 def test_non_swrg_has_witness():
     code = cons.kasami_code(2)                          # [15,6] base code
     cert = verify_swrg(code, l=3)
-    assert cert.verdict == "not_l_swrg"
-    assert cert.walk_counts is None
-    assert cert.analytic_l3 is None and cert.root_equation_holds is None
-    assert cert.weights == [6, 8, 10]                   # thetas 3, -1, -5
-    assert cert.witness == -(3 + 1) * (-1 + 5) * (-5 - 3) * (3 - 1 - 5)
+    assert cert["verdict"] == "not_l_swrg"
+    assert cert["walk_counts"] is None
+    assert cert["analytic_l3"] is None and cert["root_equation_holds"] is None
+    assert cert["weights"] == [6, 8, 10]                # thetas 3, -1, -5
+    assert cert["witness"] == -(3 + 1) * (-1 + 5) * (-5 - 3) * (3 - 1 - 5)
     assert transform_walk_counts(code, 3) is None
 
 
@@ -196,7 +197,7 @@ def test_requires_three_weights():
 
 
 def test_certificate_serialization(code_56):
-    d = verify_swrg(code_56, l=3).to_dict()
+    d = verify_swrg(code_56, l=3)
     assert d["verdict"] == "is_l_swrg"
     assert d["spectrum"]["-4"] == 21                    # string keys
 
@@ -204,7 +205,7 @@ def test_certificate_serialization(code_56):
 def test_walk_cap_counts_bits_of_n_to_the_l(code_56, monkeypatch):
     size = 3 * (56).bit_length()            # l * bits of n
     monkeypatch.setattr(swrg, "WALK_CAP", size)
-    assert verify_swrg(code_56, 3).walk_counts == (2746, 2730, 2730)
+    assert verify_swrg(code_56, 3)["walk_counts"] == (2746, 2730, 2730)
     monkeypatch.setattr(swrg, "WALK_CAP", size - 1)
     with pytest.raises(CapExceeded):
         verify_swrg(code_56, 3)
@@ -218,6 +219,21 @@ def test_huge_l_refused_before_any_work(code_56, monkeypatch):
     monkeypatch.setattr(LinearCode, "weight_distribution", walked)
     with pytest.raises(CapExceeded):
         verify_swrg(code_56, 10 ** 9 + 1)
+
+
+def test_lifted_limit_keeps_the_print_ceiling(code_56, monkeypatch):
+    # l = 2796201 passes WALK_CAP at n = 56, but its walk counts have
+    # about 4.9 million digits
+    def walked(self):
+        raise AssertionError("the weight distribution was computed")
+    monkeypatch.setattr(LinearCode, "weight_distribution", walked)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(CapExceeded):
+            verify_swrg(code_56, 2796201)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cached_distribution_over_the_enum_cap_is_refused(code_56,
@@ -239,16 +255,16 @@ def test_dual_bch9_complement_beyond_the_old_caps():
     assert wd.nonzero_weights() == [130800, 130816, 130832]
     for l in (3, 5, 7, 9):
         cert = certificate(wd, l)
-        assert cert.verdict == "is_l_swrg", l
-        assert cert.root_equation_holds
+        assert cert["verdict"] == "is_l_swrg", l
+        assert cert["root_equation_holds"]
         # the walks from one vertex number n^l, and the closed ones are
         # the trace of A^l over the vertex count
-        lam, mu, nu = cert.walk_counts
+        lam, mu, nu = cert["walk_counts"]
         assert nu + wd.n * lam + ((1 << 18) - 1 - wd.n) * mu == wd.n ** l
-        trace = sum(m * ev ** l for ev, m in cert.spectrum.items())
+        trace = sum(m * int(ev) ** l for ev, m in cert["spectrum"].items())
         assert trace == nu << 18
-    assert certificate(wd, 3).walk_counts == closed_form_l3(261632, 18,
-                                                            130800)
+    assert certificate(wd, 3)["walk_counts"] == \
+        closed_form_l3(261632, 18, 130800)
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,7 +275,7 @@ def test_middle_zero_and_opposite_eigenvalues_give_every_odd_l(half, a, l):
     n = 2 * half + 2 * a
     wd = WeightDistribution(2, n, 2, {0: 1, half: 1, n // 2: 1, n - half: 1})
     cert = certificate(wd, l)
-    assert cert.verdict == "is_l_swrg" and cert.witness is None
+    assert cert["verdict"] == "is_l_swrg" and cert["witness"] is None
 
 
 def test_inexact_mu_is_refused():
@@ -279,7 +295,7 @@ def test_inexact_mu_is_refused():
 @pytest.mark.parametrize("l", [3, 5, 7, 9])
 def test_families_match_both_oracles(code, l):
     cert = verify_swrg(code, l)
-    assert cert.walk_counts == transform_walk_counts(code, l) \
+    assert cert["walk_counts"] == transform_walk_counts(code, l) \
         == bfs_walk_counts(code, l)
 
 
@@ -291,7 +307,7 @@ def test_transform_walks_match_bfs(rng, k, l):
     walks = transform_walk_counts(code, l)
     assert walks == bfs_walk_counts(code, l)
     if code.weight_distribution().num_weights == 3:
-        assert verify_swrg(code, l).walk_counts == walks
+        assert verify_swrg(code, l)["walk_counts"] == walks
 
 
 def test_certificate_matches_the_transform_on_random_codes():
@@ -305,14 +321,14 @@ def test_certificate_matches_the_transform_on_random_codes():
             continue
         for l in (3, 5, 7, 9):
             cert = verify_swrg(code, l)
-            assert cert.walk_counts == transform_walk_counts(code, l)
+            assert cert["walk_counts"] == transform_walk_counts(code, l)
         cert = verify_swrg(code, 3)
-        t1, t2, t3 = (code.n - 2 * w for w in cert.weights)
-        seen[cert.conditions_weight_sum] += 1
-        if cert.conditions_weight_sum:
-            lam, mu, nu = cert.walk_counts
+        t1, t2, t3 = (code.n - 2 * w for w in cert["weights"])
+        seen[cert["conditions_weight_sum"]] += 1
+        if cert["conditions_weight_sum"]:
+            lam, mu, nu = cert["walk_counts"]
             assert nu - mu == t1 * t2 * t3
         else:
-            assert cert.witness == -(t1 - t2) * (t2 - t3) * (t3 - t1) * (
+            assert cert["witness"] == -(t1 - t2) * (t2 - t3) * (t3 - t1) * (
                 t1 + t2 + t3)
     assert seen[True] and seen[False]
