@@ -10,15 +10,16 @@ Two verification modes:
       is out of scope; its typed weight distribution is transformed and
       compared against the recorded complement distribution.
 
-Entries flagged ``known_discrepancy`` are reported but never fail a run;
-a row that raises gets the ``error`` verdict and fails it.
+A row is the dict the manifest holds, checked once when it is loaded; its
+result is the dict ``catalog verify`` prints. Entries flagged
+``known_discrepancy`` are reported but never fail a run; a row that raises
+gets the ``error`` verdict and fails it.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 from . import constructions as cons
@@ -29,37 +30,6 @@ from .linear import CapExceeded, CodeError, LinearCode, WeightDistribution
 
 class ManifestError(ValueError):
     pass
-
-
-@dataclass
-class CatalogEntry:
-    id: str
-    mode: str                     # construct_and_enumerate | transform_only
-    expect: dict                  # q, n, k, d, weights, optional counts
-    build: dict | None = None     # family, params, optional complement_at
-    base: dict | None = None      # typed base distribution (transform_only)
-    K: int | None = None
-    source: str = ""
-    note: str = ""
-    known_discrepancy: bool = False
-
-
-@dataclass
-class EntryResult:
-    id: str
-    ok: bool
-    known_discrepancy: bool
-    mismatches: list = field(default_factory=list)
-    note: str = ""
-    error: bool = False           # the row raised; its message is a mismatch
-
-    @property
-    def verdict(self) -> str:
-        if self.ok:
-            return "pass"
-        if self.error:
-            return "error"
-        return "known-discrepancy" if self.known_discrepancy else "FAIL"
 
 
 # ----------------------------------------------------------------------
@@ -98,9 +68,14 @@ PARAMS = list(dict.fromkeys(
 _BUILD_KEYS = {"family", "params", "complement_at"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_build(build) -> None:
-    """ManifestError unless ``build`` names a known family and its params
-    bind to that family's builder."""
+    """ManifestError unless ``build`` names a known family, its params are
+    integers that bind to that family's builder, and its complement_at
+    (when present) is an integer."""
     if not isinstance(build, dict):
         raise ManifestError("build must be an object")
     if set(build) - _BUILD_KEYS:
@@ -115,12 +90,10 @@ def check_build(build) -> None:
         SIGNATURES[family].bind(**params)
     except TypeError as exc:
         raise ManifestError(f"bad params for {family}: {exc}") from None
-
-
-def base_code(build: dict) -> LinearCode:
-    """The pre-complement code of a build description."""
-    check_build(build)
-    return FAMILIES[build["family"]](**build.get("params", {}))
+    if not all(_is_int(value) for value in params.values()):
+        raise ManifestError(f"params for {family} must be integers")
+    if "complement_at" in build and not _is_int(build["complement_at"]):
+        raise ManifestError("complement_at must be an integer")
 
 
 def _build_keys(build: dict) -> tuple:
@@ -133,11 +106,11 @@ def _build_keys(build: dict) -> tuple:
 
 
 def _built(build: dict, builds: dict):
-    """(base code, code) of a build description, each made once per
-    ``builds`` dict."""
+    """(base code, code) of a checked build description, each made once
+    per ``builds`` dict."""
     keys = _build_keys(build)
     if keys[0] not in builds:
-        builds[keys[0]] = base_code(build)
+        builds[keys[0]] = FAMILIES[build["family"]](**build.get("params", {}))
     if keys[-1] not in builds:
         builds[keys[-1]] = cons.complement(builds[keys[0]],
                                            K=build["complement_at"])
@@ -160,83 +133,103 @@ def _typed_wd(d: dict) -> WeightDistribution:
     return WeightDistribution(d["q"], d["n"], d["k"], counts)
 
 
-def _compare(result: EntryResult, name: str, got, want):
-    if want is not None and got != want:
-        result.ok = False
-        result.mismatches.append(f"{name}: got {got}, expected {want}")
-
-
-def verify_entry(entry: CatalogEntry,
-                 builds: dict | None = None) -> EntryResult:
-    """Check one row. ``builds`` lets the rows of one catalog pass share
-    the codes they build (and their cached distributions); every row still
-    runs all of its own checks. A CodeError, FieldError or CapExceeded
-    ends the row with the ``error`` verdict and the exception's message."""
-    result = EntryResult(entry.id, ok=True,
-                         known_discrepancy=entry.known_discrepancy,
-                         note=entry.note)
+def verify_entry(entry: dict, builds: dict | None = None) -> dict:
+    """Check one row: its ``id``, ``verdict``, ``mismatches`` and ``note``.
+    ``builds`` lets the rows of one catalog pass share the codes they
+    build (and their cached distributions); every row still runs all of
+    its own checks. A CodeError, FieldError or CapExceeded ends the row
+    with the ``error`` verdict and the exception's message."""
     try:
-        _check_entry(entry, result, {} if builds is None else builds)
+        mismatches = _mismatches(entry, {} if builds is None else builds)
     except (CodeError, FieldError, CapExceeded) as exc:
-        result.ok, result.error = False, True
-        result.mismatches.append(str(exc))
-    return result
-
-
-def _check_entry(entry: CatalogEntry, result: EntryResult, builds: dict):
-    """Run the row's checks, recording each mismatch in ``result``."""
-    exp = entry.expect
-    if entry.mode == "construct_and_enumerate":
-        base, code = _built(entry.build, builds)
-        wd = code.weight_distribution()
-    elif entry.mode == "transform_only":
-        wd = cons.transform_wd(_typed_wd(entry.base), entry.K)
+        mismatches, verdict = [str(exc)], "error"
     else:
-        raise ManifestError(f"unknown mode {entry.mode!r} in {entry.id}")
-    for name, got in [("q", wd.q), ("n", wd.n), ("k", wd.k),
-                      ("d", wd.min_weight), ("weights", wd.nonzero_weights())]:
-        _compare(result, name, got, exp.get(name))
+        verdict = ("pass" if not mismatches else "known-discrepancy"
+                   if entry.get("known_discrepancy") else "FAIL")
+    return {"id": entry["id"], "verdict": verdict, "mismatches": mismatches,
+            "note": entry.get("note", "")}
+
+
+def _mismatches(entry: dict, builds: dict) -> list:
+    """Run the row's checks: one line for each that does not hold."""
+    exp = entry["expect"]
+    built = entry["mode"] == "construct_and_enumerate"
+    if built:
+        base, code = _built(entry["build"], builds)
+        wd = code.weight_distribution()
+    else:
+        wd = cons.transform_wd(_typed_wd(entry["base"]), entry["K"])
+    checks = [(name, got, exp.get(name)) for name, got in [
+        ("q", wd.q), ("n", wd.n), ("k", wd.k), ("d", wd.min_weight),
+        ("weights", wd.nonzero_weights())]]
     if "counts" in exp:
         want = {int(w): c for w, c in exp["counts"].items()}
-        _compare(result, "counts", dict(wd.counts), {0: 1, **want})
-    if entry.mode == "transform_only":
-        return
-    if "antigriesmer_defect" in exp:
+        checks.append(("counts", dict(wd.counts), {0: 1, **want}))
+    if built and "antigriesmer_defect" in exp:
         _, defect, _ = antigriesmer(wd.q, wd.k, wd.max_weight, wd.n)
-        _compare(result, "antigriesmer_defect", defect,
-                 exp["antigriesmer_defect"])
-    K = entry.build.get("complement_at")
-    if K is not None:
+        checks.append(("antigriesmer_defect", defect,
+                       exp["antigriesmer_defect"]))
+    if built and "complement_at" in entry["build"]:
+        K = entry["build"]["complement_at"]
         predicted = cons.transform_wd(base.weight_distribution(), K)
-        _compare(result, "transform-vs-enumeration",
-                 dict(wd.counts), dict(predicted.counts))
+        checks.append(("transform-vs-enumeration",
+                       dict(wd.counts), dict(predicted.counts)))
+    return [f"{name}: got {got}, expected {want}"
+            for name, got, want in checks if want is not None and got != want]
 
 
-_KEYS = {f.name for f in fields(CatalogEntry)}
-_REQUIRED = {f.name for f in fields(CatalogEntry) if f.default is MISSING}
+_REQUIRED = {"id", "mode", "expect"}
+_KEYS = {"id", "mode", "expect", "build", "base", "K", "source", "note",
+         "known_discrepancy"}
 _MODES = ("construct_and_enumerate", "transform_only")
 
 
-def _entry(item) -> CatalogEntry:
-    """One manifest row, checked: its keys, its mode, and for a built row
-    its build (``check_build``)."""
+def _check_counts(counts, name: str):
+    if not isinstance(counts, dict) or not all(
+            isinstance(w, str) and w.isascii() and w.isdigit() and _is_int(c)
+            for w, c in counts.items()):
+        raise ManifestError(
+            f"{name} must map weights written in digits to integers")
+
+
+def _check_row(row: dict):
+    """ManifestError unless the row has the keys, the mode and the field
+    types its checks read; a built row's build is ``check_build``'s."""
+    unknown, missing = sorted(set(row) - _KEYS), sorted(_REQUIRED - set(row))
+    if unknown:
+        raise ManifestError(f"unknown keys {unknown}")
+    if missing:
+        raise ManifestError(f"missing keys {missing}")
+    if not isinstance(row["id"], str):
+        raise ManifestError("id must be a string")
+    if row["mode"] not in _MODES:
+        raise ManifestError(f"unknown mode {row['mode']!r}")
+    if not isinstance(row["expect"], dict):
+        raise ManifestError("expect must be an object")
+    if "counts" in row["expect"]:
+        _check_counts(row["expect"]["counts"], "expect.counts")
+    if row["mode"] == "construct_and_enumerate":
+        check_build(row.get("build"))
+        return
+    if not _is_int(row.get("K")):
+        raise ManifestError("K must be an integer")
+    base = row.get("base")
+    if not isinstance(base, dict) or not all(_is_int(base.get(key))
+                                             for key in ("q", "n", "k")):
+        raise ManifestError("base must be an object with integer q, n and k")
+    _check_counts(base.get("counts"), "base.counts")
+
+
+def _entry(item) -> dict:
+    """One manifest row, checked (``_check_row``)."""
     if not isinstance(item, dict):
         raise ManifestError(f"manifest entry {item!r} is not an object")
-    where = f"manifest entry {item.get('id')!r}"
-    unknown, missing = sorted(set(item) - _KEYS), sorted(_REQUIRED - set(item))
-    if unknown:
-        raise ManifestError(f"{where}: unknown keys {unknown}")
-    if missing:
-        raise ManifestError(f"{where}: missing keys {missing}")
-    entry = CatalogEntry(**item)
-    if entry.mode not in _MODES:
-        raise ManifestError(f"{where}: unknown mode {entry.mode!r}")
-    if entry.mode == "construct_and_enumerate":
-        try:
-            check_build(entry.build)
-        except ManifestError as exc:
-            raise ManifestError(f"{where}: {exc}") from None
-    return entry
+    try:
+        _check_row(item)
+    except ManifestError as exc:
+        raise ManifestError(
+            f"manifest entry {item.get('id')!r}: {exc}") from None
+    return item
 
 
 def load_manifest(path=None) -> list:
@@ -257,9 +250,9 @@ def load_manifest(path=None) -> list:
     seen = set()
     for item in raw["entries"]:
         entry = _entry(item)
-        if entry.id in seen:
-            raise ManifestError(f"duplicate entry id {entry.id!r}")
-        seen.add(entry.id)
+        if entry["id"] in seen:
+            raise ManifestError(f"duplicate entry id {entry['id']!r}")
+        seen.add(entry["id"])
         entries.append(entry)
     return entries
 
@@ -273,14 +266,14 @@ def verify_catalog(entries=None):
     # dropped after the last row that uses it, so no pass reuses another's
     last_row = {}
     for i, entry in enumerate(entries):
-        if entry.mode == "construct_and_enumerate":
-            last_row.update(dict.fromkeys(_build_keys(entry.build), i))
+        if entry["mode"] == "construct_and_enumerate":
+            last_row.update(dict.fromkeys(_build_keys(entry["build"]), i))
     builds, results = {}, []
     for i, entry in enumerate(entries):
         results.append(verify_entry(entry, builds))
         for key in [key for key in builds if last_row[key] == i]:
             del builds[key]
-    verdicts = [r.verdict for r in results]
+    verdicts = [r["verdict"] for r in results]
     summary = {
         "total": len(results),
         "passed": verdicts.count("pass"),

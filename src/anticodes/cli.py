@@ -73,6 +73,17 @@ def _flatten(data, prefix=""):
     return rows
 
 
+def _write_code(code, out: str | None) -> int:
+    """Save ``code`` to ``out`` and say so, or print it as JSON."""
+    if out:
+        codefile.save_code(code, out)
+        print(f"wrote {out}", file=sys.stderr)
+    else:
+        print(json.dumps(codefile.code_to_dict(code, with_distribution=True),
+                         indent=2, sort_keys=True))
+    return EXIT_OK
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -87,13 +98,7 @@ def cmd_construct(args) -> int:
     wd = code.weight_distribution()
     print(f"{code.label}: [{code.n},{code.k},{wd.min_weight}]_{code.field.q} "
           f"weights {wd.nonzero_weights()}", file=sys.stderr)
-    if args.out:
-        codefile.save_code(code, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(json.dumps(codefile.code_to_dict(code, with_distribution=True),
-                         indent=2, sort_keys=True))
-    return EXIT_OK
+    return _write_code(code, args.out)
 
 
 def cmd_analyze(args) -> int:
@@ -105,13 +110,7 @@ def cmd_analyze(args) -> int:
 def cmd_complement(args) -> int:
     code = codefile.load_code(args.file)
     comp = cons.complement(code, K=args.K if args.K is not None else code.k)
-    if args.out:
-        codefile.save_code(comp, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(json.dumps(codefile.code_to_dict(comp, with_distribution=True),
-                         indent=2, sort_keys=True))
-    return EXIT_OK
+    return _write_code(comp, args.out)
 
 
 def cmd_wd_transform(args) -> int:
@@ -132,23 +131,20 @@ def cmd_swrg_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    entries = cat.load_manifest(args.manifest)
-    results, summary = cat.verify_catalog(entries)
+    results, summary = cat.verify_catalog(cat.load_manifest(args.manifest))
     if args.format == "json":
-        doc = {"summary": summary,
-               "results": [{"id": r.id, "verdict": r.verdict,
-                            "mismatches": r.mismatches, "note": r.note}
-                           for r in results]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+        _emit(json.dumps({"summary": summary, "results": results},
+                         indent=2, sort_keys=True), args.out)
     else:
+        width = max((len(r["id"]) for r in results), default=0)
         lines = []
-        width = max(len(r.id) for r in results)
         for r in results:
-            line = f"{r.id.ljust(width)}  {r.verdict}"
-            if r.mismatches:
-                line += "  (" + "; ".join(r.mismatches) + ")"
+            line = f"{r['id'].ljust(width)}  {r['verdict']}"
+            if r["mismatches"]:
+                line += "  (" + "; ".join(r["mismatches"]) + ")"
             lines.append(line)
-        lines.append("")
+        if lines:
+            lines.append("")
         lines.append(
             f"{summary['passed']}/{summary['total']} passed, "
             f"{summary['failed']} failed, "

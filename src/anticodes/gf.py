@@ -183,9 +183,6 @@ class GF:
     def __hash__(self):
         return hash((self.p, self.e, tuple(self.modulus)))
 
-    def elements(self):
-        return range(self.q)
-
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.q:
             raise FieldError(f"{a!r} is not a valid element code for {self}")

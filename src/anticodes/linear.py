@@ -191,9 +191,6 @@ class LinearCode:
     def min_distance(self) -> int:
         return self.weight_distribution().min_weight
 
-    def max_weight(self) -> int:
-        return self.weight_distribution().max_weight
-
     # ------------------------------------------------------------------
     def is_projective(self) -> bool:
         """Column test: no zero column, no two columns scalar multiples."""

@@ -54,19 +54,22 @@ def test_03_kasami_complements():
 def test_04_transform_vs_enumeration_oracle(entries):
     verified = []
     for entry in entries:
-        if entry.mode != "construct_and_enumerate":
+        if entry["mode"] != "construct_and_enumerate":
             continue
-        K = entry.build.get("complement_at")
+        build = entry["build"]
+        K = build.get("complement_at")
         if K is None:
             continue
-        comp = cat.build_code(entry.build)
+        comp = cat.build_code(build)
         q = comp.field.q
         if q ** K > 2 ** 20:
             continue
-        base_wd = cat.base_code(entry.build).weight_distribution()
+        base = {key: value for key, value in build.items()
+                if key != "complement_at"}
+        base_wd = cat.build_code(base).weight_distribution()
         assert cons.transform_wd(base_wd, K) == comp.weight_distribution(), \
-            entry.id
-        verified.append((entry.id, q))
+            entry["id"]
+        verified.append((entry["id"], q))
     assert len(verified) >= 15
     assert {q for _, q in verified} >= {2, 3, 4, 5}
 
@@ -162,26 +165,26 @@ def test_09_swrg_certificates():
 def test_10_bound_properties_across_catalog(entries):
     checked_involution = 0
     for entry in entries:
-        if entry.mode != "construct_and_enumerate":
+        if entry["mode"] != "construct_and_enumerate":
             continue
-        code = cat.build_code(entry.build)
+        code = cat.build_code(entry["build"])
         wd = code.weight_distribution()
         q, n, k = code.field.q, code.n, code.k
         d, delta = wd.min_weight, wd.max_weight
-        assert griesmer(q, k, d, n)[1] >= 0, entry.id
+        assert griesmer(q, k, d, n)[1] >= 0, entry["id"]
         if code.is_projective() and n < q ** (k - 1):
             s, defect, holds = (antigriesmer_sum(q, k, delta),
                                 antigriesmer_sum(q, k, delta) - n,
                                 antigriesmer_sum(q, k, delta) >= n)
-            assert holds and defect >= 0, entry.id
-            assert delta >= plotkin_anticode_floor(q, n), entry.id
-            assert delta >= k, entry.id
+            assert holds and defect >= 0, entry["id"]
+            assert delta >= plotkin_anticode_floor(q, n), entry["id"]
+            assert delta >= k, entry["id"]
         if code.ab_criterion() and q ** k <= 2 ** 16:
             ok, witness = code.is_minimal_exact()
-            assert ok and witness is None, entry.id
+            assert ok and witness is None, entry["id"]
         if code.is_projective() and delta < q ** (k - 1):
             twice = cons.transform_wd(cons.transform_wd(wd, k), k)
-            assert twice == wd, entry.id
+            assert twice == wd, entry["id"]
             checked_involution += 1
     assert checked_involution >= 10
 
@@ -189,12 +192,12 @@ def test_10_bound_properties_across_catalog(entries):
 def test_11_catalog_regression(entries):
     results, summary = cat.verify_catalog(entries)
     assert summary["failed"] == 0
-    flagged_ids = {e.id for e in entries if e.known_discrepancy}
+    flagged_ids = {e["id"] for e in entries if e["known_discrepancy"]}
     assert flagged_ids == {"comp-rs-2-5-antigriesmer",
                            "eight-weight-q2m2-comp-6"}
-    reported = {r.id: r for r in results}
+    reported = {r["id"]: r for r in results}
     for fid in flagged_ids:
-        assert reported[fid].verdict in ("pass", "known-discrepancy")
+        assert reported[fid]["verdict"] in ("pass", "known-discrepancy")
     for r in results:
-        if r.id not in flagged_ids:
-            assert r.ok, f"{r.id}: {r.mismatches}"
+        if r["id"] not in flagged_ids:
+            assert r["verdict"] == "pass", f"{r['id']}: {r['mismatches']}"

@@ -17,20 +17,19 @@ def entries():
 
 def test_manifest_loads(entries):
     assert len(entries) >= 70
-    ids = [e.id for e in entries]
+    ids = [e["id"] for e in entries]
     assert len(set(ids)) == len(ids)
-    modes = {e.mode for e in entries}
+    modes = {e["mode"] for e in entries}
     assert modes == {"construct_and_enumerate", "transform_only"}
 
 
 def test_duplicate_ids_rejected(tmp_path):
-    doc = {"entries": [
-        {"id": "a", "mode": "transform_only", "expect": {}, "K": 3},
-        {"id": "a", "mode": "transform_only", "expect": {}, "K": 3},
-    ]}
+    row = {"id": "a", "mode": "transform_only", "expect": {}, "K": 3,
+           "base": TINY_BASE}
+    doc = {"entries": [row, row]}
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(cat.ManifestError):
+    with pytest.raises(cat.ManifestError, match="duplicate entry id 'a'"):
         cat.load_manifest(path)
 
 
@@ -44,6 +43,16 @@ def test_invalid_json_rejected(tmp_path):
 SIMPLEX_ROW = {"id": "s", "mode": "construct_and_enumerate",
                "expect": {"q": 2, "n": 7, "k": 3},
                "build": {"family": "simplex", "params": {"q": 2, "k": 3}}}
+
+TINY_BASE = {"q": 2, "n": 7, "k": 3, "counts": {"4": 7}}
+TRANSFORM_ROW = {"id": "t", "mode": "transform_only", "base": TINY_BASE,
+                 "K": 4, "expect": {"q": 2, "n": 8, "k": 4, "d": 4,
+                                    "counts": {"4": 14, "8": 1}}}
+
+
+def without(row, key):
+    return {name: value for name, value in row.items() if name != key}
+
 
 # one manifest row per load-time defect: each is a ManifestError, raised
 # when the manifest is read, before any row runs
@@ -59,6 +68,27 @@ BAD_ROWS = {
     "unknown-build-key": {**SIMPLEX_ROW, "id": "bad", "build": {
         **SIMPLEX_ROW["build"], "complement": 4}},
     "build-not-object": {**SIMPLEX_ROW, "id": "bad", "build": "simplex"},
+    "param-a-string": {**SIMPLEX_ROW, "id": "bad", "build": {
+        "family": "simplex", "params": {"q": "2", "k": 3}}},
+    "param-a-float": {**SIMPLEX_ROW, "id": "bad", "build": {
+        "family": "simplex", "params": {"q": 2, "k": 2.0}}},
+    "param-a-bool": {**SIMPLEX_ROW, "id": "bad", "build": {
+        "family": "simplex", "params": {"q": True, "k": 3}}},
+    "complement-at-a-string": {**SIMPLEX_ROW, "id": "bad", "build": {
+        **SIMPLEX_ROW["build"], "complement_at": "5"}},
+    "expect-not-object": {**SIMPLEX_ROW, "id": "bad", "expect": [2, 7, 3]},
+    "expect-count-key-not-digits": {**SIMPLEX_ROW, "id": "bad", "expect": {
+        "q": 2, "n": 7, "k": 3, "counts": {"x": 7}}},
+    "expect-count-not-int": {**SIMPLEX_ROW, "id": "bad", "expect": {
+        "q": 2, "n": 7, "k": 3, "counts": {"4": "7"}}},
+    "id-not-string": {**SIMPLEX_ROW, "id": 5},
+    "transform-no-K": without({**TRANSFORM_ROW, "id": "bad"}, "K"),
+    "transform-K-a-string": {**TRANSFORM_ROW, "id": "bad", "K": "7"},
+    "transform-no-base": without({**TRANSFORM_ROW, "id": "bad"}, "base"),
+    "transform-base-no-counts": {**TRANSFORM_ROW, "id": "bad", "base": {
+        "q": 2, "n": 7, "k": 3}},
+    "transform-base-q-a-string": {**TRANSFORM_ROW, "id": "bad", "base": {
+        **TINY_BASE, "q": "2"}},
 }
 
 
@@ -69,8 +99,16 @@ def write_manifest(tmp_path, *rows):
 
 
 def test_good_row_loads(tmp_path):
-    [entry] = cat.load_manifest(write_manifest(tmp_path, SIMPLEX_ROW))
-    assert cat.verify_entry(entry).ok
+    entries = cat.load_manifest(
+        write_manifest(tmp_path, SIMPLEX_ROW, TRANSFORM_ROW))
+    assert [cat.verify_entry(e)["verdict"] for e in entries] == ["pass"] * 2
+
+
+def test_a_base_that_does_not_sum_is_an_error_at_run_time(tmp_path):
+    # only the shape of a base is checked at load
+    row = {**TRANSFORM_ROW, "base": {**TINY_BASE, "counts": {"4": 6}}}
+    [entry] = cat.load_manifest(write_manifest(tmp_path, row))
+    assert cat.verify_entry(entry)["verdict"] == "error"
 
 
 @pytest.mark.parametrize("defect", sorted(BAD_ROWS))
@@ -91,6 +129,8 @@ def test_build_code_unknown_family():
     {"family": "simplex", "params": [2, 3]},
     {"family": "simplex", "params": {"q": 2, "k": 3}, "complement": 4},
     "simplex",
+    {"family": "simplex", "params": {"q": "2", "k": 3}},
+    {"family": "simplex", "params": {"q": 2, "k": 3}, "complement_at": "5"},
 ])
 def test_build_code_checks_its_build(build):
     # the same check as a manifest row's, at build time
@@ -104,26 +144,23 @@ def test_params_are_every_builders_parameters():
 
 
 def test_verify_entry_detects_mismatch():
-    entry = cat.CatalogEntry(
-        id="bad-simplex", mode="construct_and_enumerate",
-        expect={"q": 2, "n": 7, "k": 3, "d": 5},
-        build={"family": "simplex", "params": {"q": 2, "k": 3}})
+    entry = {"id": "bad-simplex", "mode": "construct_and_enumerate",
+             "expect": {"q": 2, "n": 7, "k": 3, "d": 5},
+             "build": {"family": "simplex", "params": {"q": 2, "k": 3}}}
     result = cat.verify_entry(entry)
-    assert not result.ok
-    assert result.verdict == "FAIL"
-    assert any("d:" in m for m in result.mismatches)
+    assert result["verdict"] == "FAIL"
+    assert any("d:" in m for m in result["mismatches"])
 
 
 def test_a_row_over_the_length_cap_is_an_error(monkeypatch):
     monkeypatch.setattr(cons, "LENGTH_CAP", 16)
-    entry = cat.CatalogEntry(
-        id="long", mode="construct_and_enumerate",
-        expect={"q": 2, "n": 24, "k": 5, "d": 12},
-        build={"family": "simplex", "params": {"q": 2, "k": 3},
-               "complement_at": 5})
+    entry = {"id": "long", "mode": "construct_and_enumerate",
+             "expect": {"q": 2, "n": 24, "k": 5, "d": 12},
+             "build": {"family": "simplex", "params": {"q": 2, "k": 3},
+                       "complement_at": 5}}
     results, summary = cat.verify_catalog([entry])
-    assert results[0].verdict == "error"
-    assert results[0].mismatches == [
+    assert results[0]["verdict"] == "error"
+    assert results[0]["mismatches"] == [
         "complement(simplex(2,3), K=5) length 24 over the cap"]
     assert summary["failed"] == 1
 
@@ -131,47 +168,46 @@ def test_a_row_over_the_length_cap_is_an_error(monkeypatch):
 def test_verify_entry_turns_a_cap_into_an_error(monkeypatch):
     # an error fails the run even on a flagged row
     monkeypatch.setattr(linear, "ENUM_CAP", 8)
-    entry = cat.CatalogEntry(
-        id="over-cap", mode="construct_and_enumerate",
-        expect={"q": 2, "n": 15, "k": 4, "d": 8}, known_discrepancy=True,
-        build={"family": "simplex", "params": {"q": 2, "k": 4}})
+    entry = {"id": "over-cap", "mode": "construct_and_enumerate",
+             "expect": {"q": 2, "n": 15, "k": 4, "d": 8},
+             "known_discrepancy": True,
+             "build": {"family": "simplex", "params": {"q": 2, "k": 4}}}
     results, summary = cat.verify_catalog([entry])
-    assert results[0].verdict == "error"
-    assert results[0].mismatches == ["q^k = 16 exceeds enumeration cap"]
+    assert results[0]["verdict"] == "error"
+    assert results[0]["mismatches"] == ["q^k = 16 exceeds enumeration cap"]
     assert summary == {"total": 1, "passed": 0, "failed": 1,
                        "known_discrepancy": 0}
 
 
 def test_verify_entry_transform_only():
-    entry = cat.CatalogEntry(
-        id="tiny", mode="transform_only",
-        base={"q": 2, "n": 7, "k": 3, "counts": {"4": 7}},
-        K=4,
-        expect={"q": 2, "n": 8, "k": 4, "d": 4,
-                "counts": {"4": 14, "8": 1}})
-    assert cat.verify_entry(entry).ok
+    entry = {"id": "tiny", "mode": "transform_only",
+             "base": {"q": 2, "n": 7, "k": 3, "counts": {"4": 7}},
+             "K": 4,
+             "expect": {"q": 2, "n": 8, "k": 4, "d": 4,
+                        "counts": {"4": 14, "8": 1}}}
+    assert cat.verify_entry(entry)["verdict"] == "pass"
 
 
 def test_full_catalog_verifies(entries):
     results, summary = cat.verify_catalog(entries)
     assert summary["total"] == len(entries)
     assert summary["failed"] == 0
-    not_ok = [r for r in results if not r.ok]
-    assert all(r.known_discrepancy for r in not_ok)
-    assert {r.id for r in not_ok} <= {"comp-rs-2-5-antigriesmer"}
+    not_ok = [r for r in results if r["verdict"] != "pass"]
+    assert all(r["verdict"] == "known-discrepancy" for r in not_ok)
+    assert {r["id"] for r in not_ok} <= {"comp-rs-2-5-antigriesmer"}
 
 
 def test_flagged_rows_reported_not_failed(entries):
-    flagged = [e for e in entries if e.known_discrepancy]
-    assert {e.id for e in flagged} == {
+    flagged = [e for e in entries if e["known_discrepancy"]]
+    assert {e["id"] for e in flagged} == {
         "comp-rs-2-5-antigriesmer", "eight-weight-q2m2-comp-6"}
     for e in flagged:
         result = cat.verify_entry(e)
-        assert result.verdict in ("pass", "known-discrepancy")
+        assert result["verdict"] in ("pass", "known-discrepancy")
 
 
 def test_catalog_pass_builds_each_code_once(entries, monkeypatch):
-    builds, complements = Counter(), Counter()
+    builds, complements, checks = Counter(), Counter(), Counter()
     made = {}       # id of a family's code -> (code, build key); kept alive
 
     def counted(family, builder):
@@ -194,7 +230,16 @@ def test_catalog_pass_builds_each_code_once(entries, monkeypatch):
         family: counted(family, builder)
         for family, builder in cat.FAMILIES.items()})
     monkeypatch.setattr(cons, "complement", complement)
-    rows = [e.build for e in entries if e.mode == "construct_and_enumerate"]
+    check_build = cat.check_build
+
+    def counted_check(build):
+        checks[json.dumps(build, sort_keys=True)] += 1
+        return check_build(build)
+
+    # a row's build is checked once, when the manifest is loaded
+    monkeypatch.setattr(cat, "check_build", counted_check)
+    rows = [e["build"] for e in entries
+            if e["mode"] == "construct_and_enumerate"]
     keys = {(b["family"], tuple(sorted(b.get("params", {}).items())))
             for b in rows}
     comp_keys = {((b["family"], tuple(sorted(b["params"].items()))),
@@ -205,3 +250,4 @@ def test_catalog_pass_builds_each_code_once(entries, monkeypatch):
         assert builds == Counter(dict.fromkeys(keys, passes))
         assert complements == Counter(dict.fromkeys(comp_keys, passes))
     assert results == [cat.verify_entry(e) for e in entries]
+    assert checks == Counter()

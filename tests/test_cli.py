@@ -86,9 +86,9 @@ def test_construct_over_the_length_cap_exits_2(capsys, monkeypatch):
 def _distinct_builds():
     builds = []
     for entry in cat.load_manifest():
-        if entry.mode == "construct_and_enumerate" \
-                and entry.build not in builds:
-            builds.append(entry.build)
+        if entry["mode"] == "construct_and_enumerate" \
+                and entry["build"] not in builds:
+            builds.append(entry["build"])
     return builds
 
 
@@ -379,6 +379,21 @@ def test_catalog_verify_failing_manifest(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["catalog", "verify", "--manifest", str(path)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_catalog_verify_empty_manifest(tmp_path, capsys):
+    # no rows: the text format prints the summary line alone
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"entries": []}))
+    assert run(["catalog", "verify", "--manifest", str(path)]) == 0
+    assert capsys.readouterr().out == \
+        "0/0 passed, 0 failed, 0 known-discrepancy\n"
+    assert run(["catalog", "verify", "--manifest", str(path),
+                "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "summary": {"total": 0, "passed": 0, "failed": 0,
+                    "known_discrepancy": 0},
+        "results": []}
 
 
 def test_analyze_prints_null_for_an_unprintable_ek_bound(tmp_path, capsys):

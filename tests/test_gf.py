@@ -462,14 +462,17 @@ def test_projective_points_are_sorted(q, k):
 def test_catalog_generators_are_the_schoolbook_rref():
     checked = 0
     for entry in cat.load_manifest():
-        if entry.mode != "construct_and_enumerate":
+        if entry["mode"] != "construct_and_enumerate":
             continue
-        for code in (cat.base_code(entry.build), cat.build_code(entry.build)):
+        build = entry["build"]
+        base = {key: value for key, value in build.items()
+                if key != "complement_at"}
+        for code in (cat.build_code(base), cat.build_code(build)):
             if code.column_points is None:       # built from explicit rows
                 continue
             dim, columns = code.column_points
             want, _ = schoolbook_rref(code.field, list(zip(*columns)),
                                       len(columns))
-            assert list(code.generator.rows) == want, entry.id
+            assert list(code.generator.rows) == want, entry["id"]
             checked += 1
     assert checked >= 60
