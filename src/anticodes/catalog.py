@@ -25,7 +25,8 @@ from importlib import resources
 from . import constructions as cons
 from .bounds import antigriesmer
 from .gf import FieldError
-from .linear import CapExceeded, CodeError, LinearCode, WeightDistribution
+from .linear import (CapExceeded, CodeError, LinearCode, WeightDistribution,
+                     decimal_limit)
 
 
 class ManifestError(ValueError):
@@ -185,11 +186,15 @@ _MODES = ("construct_and_enumerate", "transform_only")
 
 
 def _check_counts(counts, name: str):
+    """ManifestError unless counts maps weights, written in at most
+    ``decimal_limit()`` ASCII digits so that ``int`` reads them, to ints."""
+    limit = decimal_limit()
     if not isinstance(counts, dict) or not all(
-            isinstance(w, str) and w.isascii() and w.isdigit() and _is_int(c)
+            isinstance(w, str) and w.isascii() and w.isdigit()
+            and len(w) <= limit and _is_int(c)
             for w, c in counts.items()):
-        raise ManifestError(
-            f"{name} must map weights written in digits to integers")
+        raise ManifestError(f"{name} must map weights written in at most "
+                            f"{limit} digits to integers")
 
 
 def _check_row(row: dict):
@@ -206,6 +211,8 @@ def _check_row(row: dict):
         raise ManifestError(f"unknown mode {row['mode']!r}")
     if not isinstance(row["expect"], dict):
         raise ManifestError("expect must be an object")
+    if not isinstance(row.get("known_discrepancy", False), bool):
+        raise ManifestError("known_discrepancy must be true or false")
     if "counts" in row["expect"]:
         _check_counts(row["expect"]["counts"], "expect.counts")
     if row["mode"] == "construct_and_enumerate":

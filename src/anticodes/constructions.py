@@ -14,8 +14,8 @@ from __future__ import annotations
 from itertools import chain, combinations
 from math import comb
 
-from .gf import (GF, FieldError, field_make, project_to_subfield,
-                 relative_trace, simplex_columns)
+from .gf import (GF, FieldError, field_make, simplex_columns,
+                 smallest_irreducible)
 from .linear import (CodeError, LinearCode, WeightDistribution,
                      decimal_limit, point_positions, prints_in_decimal)
 
@@ -216,13 +216,21 @@ def two_subspace_code(q: int) -> LinearCode:
     return code
 
 
+def _evaluate(field: GF, coeffs, x: int) -> int:
+    """sum of coeffs[i] * x^i in field, by Horner's rule; coefficients are
+    prime-field codes, which are the same in every extension."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
 def smallest_irreducible_quadratic(field: GF):
     """(c0, c1) with x^2 + c1*x + c0 irreducible over the field, minimal in
     the (c0, c1) ordering; tested by exhaustive root check."""
     for c0 in range(field.q):
         for c1 in range(field.q):
-            if all(field.add(field.add(field.mul(x, x), field.mul(c1, x)), c0)
-                   for x in range(field.q)):
+            if all(_evaluate(field, (c0, c1, 1), x) for x in range(field.q)):
                 return c0, c1
     raise FieldError("no irreducible quadratic found")
 
@@ -254,12 +262,21 @@ def ovoid_code(q: int) -> LinearCode:
 # trace-code families
 # ----------------------------------------------------------------------
 
+def _trace(field: GF, x: int, m: int) -> int:
+    """x + x^p + ... + x^(p^(m-1)) in field. For x in the degree-m
+    subfield this is that subfield's absolute trace, a prime-field code."""
+    t = 0
+    for _ in range(m):
+        t = field.add(t, x)
+        x = field.pow(x, field.p)
+    return t
+
+
 def _trace_masks(field: GF):
     """Masks of the absolute trace of GF(2^e) on its polynomial basis:
     bit i of mask j is Tr(x^j * x^i). The trace is GF(2)-linear, so
     Tr(x^j * y) is the parity of y & mask j for every element code y."""
-    gf2 = field_make(2, 1)
-    return [sum(relative_trace(field.mul(1 << j, 1 << i), field, gf2) << i
+    return [sum(_trace(field, field.mul(1 << j, 1 << i), field.e) << i
                 for i in range(field.e))
             for j in range(field.e)]
 
@@ -287,20 +304,27 @@ def dual_bch_code(m: int) -> LinearCode:
 def kasami_code(m: int) -> LinearCode:
     """[2^(2m) - 1, 3m]_2 code with coordinates
     Tr(b*x) + Tr_m(a * x^(2^m + 1)), x over the nonzero ambient elements,
-    b ranging over GF(2^(2m)) and a over the GF(2^m) subfield."""
+    b ranging over GF(2^(2m)) and a over its GF(2^m) subfield.
+
+    The subfield is never built. It is the image of GF(2^m) that sends x
+    to beta, the smallest root of the GF(2^m) modulus in GF(2^(2m)), so
+    its basis element x^j is beta^j. The norm x^(2^m + 1) lies in the
+    subfield, and so does beta^j times it, whose Tr_m is
+    ``_trace(amb, ., m)``."""
     if m < 2:
         raise CodeError(f"need m >= 2, got {m}")
     amb = field_make(2, 2 * m)
-    sub = field_make(2, m)
     xs = range(1, amb.q)
-    # x^(2^m + 1) is the relative norm, which lands in the subfield; it
-    # takes 2^m - 1 values, each projected once
-    powers = [amb.pow(x, (1 << m) + 1) for x in xs]
-    project = {v: project_to_subfield(v, sub, amb) for v in set(powers)}
-    norms = [project[v] for v in powers]
-    # b = x^j, a = 0; then b = 0, a = subfield basis element
+    modulus = smallest_irreducible(2, m)
+    beta = next(x for x in xs if not _evaluate(amb, modulus, x))
+    basis = [amb.pow(beta, j) for j in range(m)]
+    # the norm takes 2^m - 1 values, each traced once
+    norms = [amb.pow(x, (1 << m) + 1) for x in xs]
+    traces = {v: [_trace(amb, amb.mul(b, v), m) for b in basis]
+              for v in set(norms)}
+    # b = x^j, a = 0; then b = 0, a = x^j in the subfield
     rows = _trace_rows(_trace_masks(amb), xs) \
-        + _trace_rows(_trace_masks(sub), norms)
+        + [[traces[v][j] for v in norms] for j in range(m)]
     code = LinearCode.from_generator(field_make(2, 1), rows,
                                      label=f"kasami(m={m})")
     if code.k != 3 * m:

@@ -204,9 +204,6 @@ class GF:
     def neg(self, a: int) -> int:
         return self._exp[self._log[a] + self._half] if a else 0
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
@@ -214,9 +211,6 @@ class GF:
         if a == 0:
             raise FieldError(f"division by zero in {self}")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -238,71 +232,6 @@ class GF:
 def field_make(p: int, e: int) -> GF:
     """The canonical GF(p^e); cached so repeated lookups share tables."""
     return GF(p, e)
-
-
-# ----------------------------------------------------------------------
-# subfield embeddings and relative traces
-# ----------------------------------------------------------------------
-
-def _evaluate(field: GF, coeffs, x: int) -> int:
-    """sum of coeffs[i] * x^i in field, by Horner's rule; coefficients are
-    prime-field codes, which are the same in every extension."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _embedding_maps(sub: GF, amb: GF):
-    """Embedding sub -> amb as (forward list, inverse dict), for the moduli
-    of the two fields given (equal fields hash alike, so they share maps).
-
-    Realized by mapping the subfield generator x to the smallest root of
-    the subfield modulus inside the ambient field.
-    """
-    beta = next((c for c in range(amb.q)
-                 if _evaluate(amb, sub.modulus, c) == 0), None)
-    if beta is None:
-        raise FieldError("subfield modulus has no root in ambient field")
-    fwd = [_evaluate(amb, sub.coords(a), beta) for a in range(sub.q)]
-    inv = {img: a for a, img in enumerate(fwd)}
-    if len(inv) != sub.q:
-        raise FieldError("subfield embedding is not injective")
-    return tuple(fwd), inv
-
-
-def _subfield_maps(sub: GF, amb: GF):
-    if sub.p != amb.p or amb.e % sub.e:
-        raise FieldError(f"{sub} is not a subfield of {amb}")
-    return _embedding_maps(sub, amb)
-
-
-def embed(x: int, sub: GF, amb: GF) -> int:
-    """Image of the GF(p^e) element x inside the ambient field."""
-    return _subfield_maps(sub, amb)[0][x]
-
-
-def project_to_subfield(x: int, sub: GF, amb: GF) -> int:
-    """Subfield code of an ambient element known to lie in the subfield."""
-    inv = _subfield_maps(sub, amb)[1]
-    if x not in inv:
-        raise FieldError(f"element {x} is not in the {sub} subfield of {amb}")
-    return inv[x]
-
-
-def relative_trace(x: int, amb: GF, sub: GF) -> int:
-    """Tr(x) = sum of x^(p^(e*i)) over i < amb.e/sub.e, as a subfield code."""
-    inv = _subfield_maps(sub, amb)[1]
-    m = amb.e // sub.e
-    t = 0
-    term = x
-    for _ in range(m):
-        t = amb.add(t, term)
-        term = amb.pow(term, sub.q)
-    if t not in inv:
-        raise FieldError("trace value escaped the subfield (embedding bug)")
-    return inv[t]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@ projectivity and minimality verdicts, and optimality classification.
 
 Exact minimality over its cap (``MINIMAL_CAP``) is reported as the string
 "skipped" rather than failing the whole report. The distribution has no
-such fallback: over ``ENUM_CAP`` it raises ``CapExceeded``.
+such fallback: over ``ENUM_CAP`` it raises ``CapExceeded``, unless the
+code came from a code file with a cached distribution, which is then
+reported unchecked.
 """
 
 from __future__ import annotations

@@ -50,6 +50,9 @@ TRANSFORM_ROW = {"id": "t", "mode": "transform_only", "base": TINY_BASE,
                                     "counts": {"4": 14, "8": 1}}}
 
 
+LONG_KEY = "4" * (linear.decimal_limit() + 1)
+
+
 def without(row, key):
     return {name: value for name, value in row.items() if name != key}
 
@@ -89,6 +92,16 @@ BAD_ROWS = {
         "q": 2, "n": 7, "k": 3}},
     "transform-base-q-a-string": {**TRANSFORM_ROW, "id": "bad", "base": {
         **TINY_BASE, "q": "2"}},
+    # int() refuses a key this long
+    "expect-count-key-too-long": {**SIMPLEX_ROW, "id": "bad", "expect": {
+        "q": 2, "n": 7, "k": 3, "counts": {LONG_KEY: 7}}},
+    "transform-base-count-key-too-long": {**TRANSFORM_ROW, "id": "bad",
+                                          "base": {**TINY_BASE,
+                                                   "counts": {LONG_KEY: 7}}},
+    "known-discrepancy-a-string": {**SIMPLEX_ROW, "id": "bad",
+                                   "known_discrepancy": "no"},
+    "known-discrepancy-an-int": {**SIMPLEX_ROW, "id": "bad",
+                                 "known_discrepancy": 1},
 }
 
 

@@ -1,4 +1,4 @@
-"""Field arithmetic, canonical moduli, embeddings, and linear algebra."""
+"""Field arithmetic, canonical moduli, traces, and linear algebra."""
 
 import random
 from itertools import product
@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticodes import catalog as cat
-from anticodes.constructions import field_of_order
+from anticodes.constructions import _evaluate, _trace, field_of_order
 from anticodes.gf import (
-    GF, FieldError, Matrix, embed, field_make, is_prime, project_to_subfield,
-    relative_trace, smallest_irreducible,
+    GF, FieldError, Matrix, field_make, is_prime, smallest_irreducible,
 )
 
 FIELDS = [field_make(2, 1), field_make(3, 1), field_make(2, 2),
@@ -57,10 +56,8 @@ def test_field_axioms(field, data):
     assert field.mul(a, field.add(b, c)) == \
         field.add(field.mul(a, b), field.mul(a, c))
     assert field.add(a, field.neg(a)) == 0
-    assert field.sub(a, b) == field.add(a, field.neg(b))
     if a:
         assert field.mul(a, field.inv(a)) == 1
-        assert field.div(b, a) == field.mul(b, field.inv(a))
 
 
 def test_inverse_of_zero_raises():
@@ -93,59 +90,41 @@ def test_size_cap():
 
 
 def test_embedding_is_a_field_homomorphism():
-    sub, amb = field_make(2, 2), field_make(2, 4)
-    for a in range(4):
-        for b in range(4):
-            assert embed(sub.add(a, b), sub, amb) == \
-                amb.add(embed(a, sub, amb), embed(b, sub, amb))
-            assert embed(sub.mul(a, b), sub, amb) == \
-                amb.mul(embed(a, sub, amb), embed(b, sub, amb))
-    for a in range(4):
-        assert project_to_subfield(embed(a, sub, amb), sub, amb) == a
+    # the embedding kasami_code relies on: GF(p^m) into GF(p^(2m)) by
+    # sending x to the smallest root of the GF(p^m) modulus
+    for p, m in [(2, 2), (2, 3), (3, 2)]:
+        sub, amb = field_make(p, m), field_make(p, 2 * m)
+        beta = next(x for x in range(amb.q)
+                    if not _evaluate(amb, sub.modulus, x))
+        image = [_evaluate(amb, sub.coords(a), beta) for a in range(sub.q)]
+        assert len(set(image)) == sub.q
+        for a in range(sub.q):
+            for b in range(sub.q):
+                assert image[sub.add(a, b)] == amb.add(image[a], image[b])
+                assert image[sub.mul(a, b)] == amb.mul(image[a], image[b])
 
 
-@pytest.mark.parametrize("sub, amb", [
-    (field_make(2, 2), GF(2, 4, [1, 1, 0, 0, 1])),   # x^4 + x + 1
-    (GF(3, 2, [2, 1, 1]), field_make(3, 4)),          # x^2 + x + 2
-])
-def test_embedding_uses_the_given_moduli(sub, amb):
-    assert sub.modulus != field_make(sub.p, sub.e).modulus or \
-        amb.modulus != field_make(amb.p, amb.e).modulus
-    image = [embed(a, sub, amb) for a in range(sub.q)]
-    for a in range(sub.q):
-        for b in range(sub.q):
-            assert image[sub.add(a, b)] == amb.add(image[a], image[b])
-            assert image[sub.mul(a, b)] == amb.mul(image[a], image[b])
-        assert project_to_subfield(image[a], sub, amb) == a
-    traces = {relative_trace(x, amb, sub) for x in range(amb.q)}
-    assert traces == set(range(sub.q))
-
-
-def test_project_outside_subfield_raises():
-    sub, amb = field_make(2, 2), field_make(2, 4)
-    images = {embed(a, sub, amb) for a in range(4)}
-    outside = next(x for x in range(16) if x not in images)
-    with pytest.raises(FieldError):
-        project_to_subfield(outside, sub, amb)
-
-
-def test_relative_trace_is_linear_and_onto():
-    sub, amb = field_make(2, 1), field_make(2, 4)
-    values = [relative_trace(x, amb, sub) for x in range(16)]
-    assert set(values) == {0, 1}
-    assert values.count(0) == 8        # balanced: kernel has q/p elements
-    for a in range(16):
-        for b in range(16):
-            assert relative_trace(amb.add(a, b), amb, sub) == \
-                sub.add(values[a], values[b])
+@pytest.mark.parametrize("p, e", [(2, e) for e in range(1, 9)] + [(3, 2)])
+def test_trace_is_linear_onto_and_balanced(p, e):
+    F = field_make(p, e)
+    values = [_trace(F, x, e) for x in range(F.q)]
+    # onto the prime field, each value q/p times
+    assert sorted(set(values)) == list(range(p))
+    assert all(values.count(t) == F.q // p for t in range(p))
+    # additive on every sum with a basis element, so GF(p)-linear
+    for x in range(F.q):
+        for y in (p ** i for i in range(e)):           # the codes of x^i
+            assert values[F.add(x, y)] == (values[x] + values[y]) % p
 
 
 def test_trace_tower_consistency():
-    # Tr_{16->2} = Tr_{4->2} o Tr_{16->4}
-    f2, f4, f16 = field_make(2, 1), field_make(2, 2), field_make(2, 4)
-    for x in range(16):
-        mid = relative_trace(x, f16, f4)
-        assert relative_trace(x, f16, f2) == relative_trace(mid, f4, f2)
+    # Tr over 2m degrees = the degree-m trace of x + x^(p^m), which lies
+    # in the degree-m subfield
+    for p, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)]:
+        amb = field_make(p, 2 * m)
+        for x in range(amb.q):
+            mid = amb.add(x, amb.pow(x, p ** m))
+            assert _trace(amb, x, 2 * m) == _trace(amb, mid, m) < p
 
 
 def test_matrix_rank_and_kernel():
@@ -304,7 +283,8 @@ def schoolbook_rref(F, rows, ncols):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [F.add(x, F.neg(F.mul(f, y)))
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
