@@ -24,9 +24,9 @@ from importlib import resources
 
 from . import constructions as cons
 from .bounds import antigriesmer
+from .codefile import COUNTS, INTS, _check, _read_json
 from .gf import FieldError
-from .linear import (CapExceeded, CodeError, LinearCode, WeightDistribution,
-                     decimal_limit)
+from .linear import CapExceeded, CodeError, LinearCode, WeightDistribution
 
 
 class ManifestError(ValueError):
@@ -66,42 +66,25 @@ PARAMS = list(dict.fromkeys(
     name for signature in SIGNATURES.values()
     for name in signature.parameters))
 
-_BUILD_KEYS = {"family", "params", "complement_at"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# each family's build: its params are integers named by its builder's
+# parameters, required where the builder has no default
+_BUILD = ("family", {family: {
+    "family": (str, True),
+    "params": ({name: (int, p.default is p.empty)
+                for name, p in signature.parameters.items()}, True),
+    "complement_at": (int, False),
+} for family, signature in SIGNATURES.items()})
 
 
 def check_build(build) -> None:
-    """ManifestError unless ``build`` names a known family, its params are
-    integers that bind to that family's builder, and its complement_at
-    (when present) is an integer."""
-    if not isinstance(build, dict):
-        raise ManifestError("build must be an object")
-    if set(build) - _BUILD_KEYS:
-        raise ManifestError(
-            f"unknown build keys {sorted(set(build) - _BUILD_KEYS)}")
-    family, params = build.get("family"), build.get("params", {})
-    if family not in FAMILIES:
-        raise ManifestError(f"unknown family {family!r}")
-    if not isinstance(params, dict):
-        raise ManifestError("params must be an object")
-    try:
-        SIGNATURES[family].bind(**params)
-    except TypeError as exc:
-        raise ManifestError(f"bad params for {family}: {exc}") from None
-    if not all(_is_int(value) for value in params.values()):
-        raise ManifestError(f"params for {family} must be integers")
-    if "complement_at" in build and not _is_int(build["complement_at"]):
-        raise ManifestError("complement_at must be an integer")
+    """ManifestError unless ``build`` fits ``_BUILD``."""
+    _check(build, _BUILD, "build", ManifestError)
 
 
 def _build_keys(build: dict) -> tuple:
     """Memo keys of a build description: one for its (family, params),
     then one for its complement if it has one."""
-    key = json.dumps([build["family"], build.get("params", {})],
-                     sort_keys=True)
+    key = json.dumps([build["family"], build["params"]], sort_keys=True)
     K = build.get("complement_at")
     return (key,) if K is None else (key, (key, json.dumps(K)))
 
@@ -111,7 +94,7 @@ def _built(build: dict, builds: dict):
     per ``builds`` dict."""
     keys = _build_keys(build)
     if keys[0] not in builds:
-        builds[keys[0]] = FAMILIES[build["family"]](**build.get("params", {}))
+        builds[keys[0]] = FAMILIES[build["family"]](**build["params"])
     if keys[-1] not in builds:
         builds[keys[-1]] = cons.complement(builds[keys[0]],
                                            K=build["complement_at"])
@@ -166,7 +149,7 @@ def _mismatches(entry: dict, builds: dict) -> list:
     if "counts" in exp:
         want = {int(w): c for w, c in exp["counts"].items()}
         checks.append(("counts", dict(wd.counts), {0: 1, **want}))
-    if built and "antigriesmer_defect" in exp:
+    if "antigriesmer_defect" in exp:
         _, defect, _ = antigriesmer(wd.q, wd.k, wd.max_weight, wd.n)
         checks.append(("antigriesmer_defect", defect,
                        exp["antigriesmer_defect"]))
@@ -179,89 +162,37 @@ def _mismatches(entry: dict, builds: dict) -> list:
             for name, got, want in checks if want is not None and got != want]
 
 
-_REQUIRED = {"id", "mode", "expect"}
-_KEYS = {"id", "mode", "expect", "build", "base", "K", "source", "note",
-         "known_discrepancy"}
-_MODES = ("construct_and_enumerate", "transform_only")
-
-
-def _check_counts(counts, name: str):
-    """ManifestError unless counts maps weights, written in at most
-    ``decimal_limit()`` ASCII digits so that ``int`` reads them, to ints."""
-    limit = decimal_limit()
-    if not isinstance(counts, dict) or not all(
-            isinstance(w, str) and w.isascii() and w.isdigit()
-            and len(w) <= limit and _is_int(c)
-            for w, c in counts.items()):
-        raise ManifestError(f"{name} must map weights written in at most "
-                            f"{limit} digits to integers")
-
-
-def _check_row(row: dict):
-    """ManifestError unless the row has the keys, the mode and the field
-    types its checks read; a built row's build is ``check_build``'s."""
-    unknown, missing = sorted(set(row) - _KEYS), sorted(_REQUIRED - set(row))
-    if unknown:
-        raise ManifestError(f"unknown keys {unknown}")
-    if missing:
-        raise ManifestError(f"missing keys {missing}")
-    if not isinstance(row["id"], str):
-        raise ManifestError("id must be a string")
-    if row["mode"] not in _MODES:
-        raise ManifestError(f"unknown mode {row['mode']!r}")
-    if not isinstance(row["expect"], dict):
-        raise ManifestError("expect must be an object")
-    if not isinstance(row.get("known_discrepancy", False), bool):
-        raise ManifestError("known_discrepancy must be true or false")
-    if "counts" in row["expect"]:
-        _check_counts(row["expect"]["counts"], "expect.counts")
-    if row["mode"] == "construct_and_enumerate":
-        check_build(row.get("build"))
-        return
-    if not _is_int(row.get("K")):
-        raise ManifestError("K must be an integer")
-    base = row.get("base")
-    if not isinstance(base, dict) or not all(_is_int(base.get(key))
-                                             for key in ("q", "n", "k")):
-        raise ManifestError("base must be an object with integer q, n and k")
-    _check_counts(base.get("counts"), "base.counts")
-
-
-def _entry(item) -> dict:
-    """One manifest row, checked (``_check_row``)."""
-    if not isinstance(item, dict):
-        raise ManifestError(f"manifest entry {item!r} is not an object")
-    try:
-        _check_row(item)
-    except ManifestError as exc:
-        raise ManifestError(
-            f"manifest entry {item.get('id')!r}: {exc}") from None
-    return item
+_EXPECT = {"q": (int, False), "n": (int, False), "k": (int, False),
+           "d": (int, False), "weights": (INTS, False),
+           "counts": (COUNTS, False), "antigriesmer_defect": (int, False)}
+_ROW = {"id": (str, True), "mode": (str, True), "expect": (_EXPECT, True),
+        "source": (str, False), "note": (str, False),
+        "known_discrepancy": (bool, False)}
+# each mode's row: a built row has a build, a transformed one a base and K
+_ENTRY = ("mode", {
+    "construct_and_enumerate": {**_ROW, "build": (_BUILD, True)},
+    "transform_only": {**_ROW, "K": (int, True), "base": ({
+        "q": (int, True), "n": (int, True), "k": (int, True),
+        "counts": (COUNTS, True)}, True)},
+})
 
 
 def load_manifest(path=None) -> list:
-    """Entries of the bundled manifest, or of an explicit JSON file."""
-    try:
-        if path is None:
-            text = resources.files("anticodes.data").joinpath(
-                "manifest.json").read_text()
-        else:
-            with open(path) as fh:
-                text = fh.read()
-        raw = json.loads(text)
-    except ValueError as exc:  # bad JSON, bad UTF-8, too long an integer
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
-        raise ManifestError("manifest needs a list of 'entries'")
-    entries = []
+    """Entries of the bundled manifest, or of an explicit JSON file, each
+    checked against its mode's schema when it is read."""
+    if path is None:        # a package installed as files, not zipped
+        path = resources.files("anticodes.data").joinpath("manifest.json")
+    raw = _read_json(path, ManifestError)
+    _check(raw, {"entries": (list, True)}, "manifest", ManifestError)
     seen = set()
     for item in raw["entries"]:
-        entry = _entry(item)
-        if entry["id"] in seen:
-            raise ManifestError(f"duplicate entry id {entry['id']!r}")
-        seen.add(entry["id"])
-        entries.append(entry)
-    return entries
+        _check(item, _ENTRY, "manifest entry "
+               f"{item.get('id') if type(item) is dict else item!r}",
+               ManifestError)
+        if item["id"] in seen:
+            raise ManifestError(f"duplicate entry id {item['id']!r}")
+        seen.add(item["id"])
+    return raw["entries"]
 
 
 def verify_catalog(entries=None):

@@ -3,7 +3,8 @@
 Subcommands: construct, analyze, complement, wd-transform, swrg-verify,
 catalog. Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 enumeration cap exceeded. Enumeration caps can be overridden with the
-ANTICODES_ENUM_CAP and ANTICODES_MINIMAL_CAP environment variables.
+ANTICODES_ENUM_CAP and ANTICODES_MINIMAL_CAP environment variables, each
+an integer >= 1; any other value exits 2.
 ``construct`` builds a family of ``catalog.FAMILIES`` exactly as a
 manifest row with the same build would.
 """
@@ -21,7 +22,7 @@ from . import catalog as cat
 from . import codefile
 from . import constructions as cons
 from .gf import FieldError
-from .linear import CapExceeded, CodeError
+from .linear import CapExceeded, CodeError, _cap
 from .report import code_report
 from .swrg import verify_swrg
 
@@ -119,6 +120,8 @@ def cmd_wd_transform(args) -> int:
     predicted = cons.transform_wd(code.weight_distribution(), K)
     data = {"q": predicted.q, "n": predicted.n, "k": predicted.k,
             "d": predicted.min_weight, "counts": predicted.to_dict()}
+    if not code.distribution_verified:
+        data["distribution_verified"] = False
     _emit(_render(data, args.format), args.out)
     return EXIT_OK
 
@@ -218,6 +221,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _cap("ENUM_CAP"), _cap("MINIMAL_CAP")   # refuse a bad override first
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

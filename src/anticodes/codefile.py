@@ -1,4 +1,4 @@
-"""Single-document JSON serialization for codes.
+"""Single-document JSON serialization for codes, and the input schemas.
 
 Files are self-describing: the field modulus is stored explicitly, all
 values are integers, and the generator round-trips losslessly. A cached
@@ -10,14 +10,91 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 
 from .gf import GF, Matrix
-from .linear import CodeError, LinearCode, WeightDistribution
+from .linear import CodeError, LinearCode, WeightDistribution, decimal_limit
 
 FORMAT_NAME = "linear-code"
-_KEYS = {"format", "field", "n", "k", "label", "generator",
-         "weight_distribution"}
-_FIELD_KEYS = {"p", "e", "modulus"}
+
+# A schema is a dict key -> (kind, required) that refuses any other key,
+# or a pair (tag, {value: schema}) whose key ``tag`` picks the schema. A
+# kind is a schema, a type (matched exactly: a bool is never an int) or
+# one of the names below, each tested by its ``_KINDS`` entry.
+INTS = "a list of integers"
+ROWS = "a list of lists of integers"
+COUNTS = "a map of weights, in ASCII digits that int() reads, to integers"
+
+
+def _is_counts(value) -> bool:
+    limit = decimal_limit()
+    return type(value) is dict and set(map(type, value.values())) <= {int} \
+        and all(type(w) is str and w.isascii() and w.isdigit()
+                and len(w) <= limit for w in value)
+
+
+# a list's test scans its items' types at C speed
+_KINDS = {
+    INTS: lambda v: type(v) is list and set(map(type, v)) <= {int},
+    ROWS: lambda v: type(v) is list and set(map(type, v)) <= {list}
+    and set(map(type, chain.from_iterable(v))) <= {int},
+    COUNTS: _is_counts,
+}
+_NAMES = {int: "an integer", str: "a string", bool: "true or false",
+          list: "a list"}
+
+
+def _check(value, schema, where, error=CodeError, path=""):
+    """Raise ``error`` unless ``value`` fits ``schema``, in one line that
+    names the offending key by its path under ``where``."""
+    if type(value) is not dict:
+        raise error(f"{where}{': ' + path[:-1] if path else ''} must be an "
+                    "object")
+    if type(schema) is tuple:
+        tag, schemas = schema
+        choice = value.get(tag)
+        schema = schemas.get(choice) if type(choice) is str else None
+        if schema is None:
+            raise error(f"{where}: {path}{tag} must be one of "
+                        f"{', '.join(schemas)}")
+    for key, item in value.items():
+        spec = schema.get(key)
+        if spec is None:
+            raise error(f"{where}: unknown key {path}{key}")
+        kind = spec[0]
+        if type(item) is kind:
+            continue
+        if type(kind) in (dict, tuple):
+            _check(item, kind, where, error, f"{path}{key}.")
+        elif type(kind) is type or not _KINDS[kind](item):
+            raise error(f"{where}: {path}{key} must be "
+                        f"{_NAMES.get(kind, kind)}")
+    if len(value) < len(schema):
+        for key, (_, required) in schema.items():
+            if required and key not in value:
+                raise error(f"{where}: {path}{key} is required")
+
+
+_CODE = ("format", {FORMAT_NAME: {
+    "format": (str, True),
+    "field": ({"p": (int, True), "e": (int, True), "modulus": (list, True)},
+              True),
+    "n": (int, True),
+    "k": (int, True),
+    "label": (str, False),
+    "generator": (ROWS, True),
+    "weight_distribution": (COUNTS, False),
+}})
+
+
+def _read_json(path, error):
+    """The JSON document in the file ``path``. Bad JSON or UTF-8, too long
+    an integer or too deep a nesting is one ``error``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not a JSON document: {exc}") from None
 
 
 def code_to_dict(code: LinearCode, with_distribution: bool = False) -> dict:
@@ -38,64 +115,33 @@ def code_to_dict(code: LinearCode, with_distribution: bool = False) -> dict:
     return doc
 
 
-def _typed(doc: dict, key: str, kind: type, where: str):
-    """doc[key], checked to be a ``kind`` (a bool never counts as an int)."""
-    value = doc.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise CodeError(f"{where} needs {kind.__name__} {key!r}, got {value!r}")
-    return value
-
-
-def _unknown_keys(doc: dict, known: set, where: str):
-    unknown = sorted(set(doc) - known, key=str)
-    if unknown:
-        raise CodeError(f"{where} has unknown keys {unknown}")
-
-
 @lru_cache(maxsize=16)      # a field holds O(q) tables, ~MBs at q = 2^16
 def _shared_field(p: int, e: int, modulus: tuple) -> GF:
     return GF(p, e, modulus=list(modulus))
 
 
 def _field(fld: dict) -> GF:
-    """The field of a code file, shared by every load with the same p, e
-    and modulus. A coefficient that is not a plain int goes straight to GF
-    to be rejected: True == 1, so a cache lookup would find a field."""
-    p, e = _typed(fld, "p", int, "field"), _typed(fld, "e", int, "field")
-    modulus = _typed(fld, "modulus", list, "field")
+    """The field of a checked code file, shared by every load with the same
+    p, e and modulus. A coefficient that is not a plain int goes straight
+    to GF to be rejected: True == 1, so a cache lookup would find a field."""
+    p, e, modulus = fld["p"], fld["e"], fld["modulus"]
     if all(type(c) is int for c in modulus):
         return _shared_field(p, e, tuple(modulus))
     return GF(p, e, modulus=modulus)
 
 
 def code_from_dict(doc: dict) -> LinearCode:
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise CodeError(f"not a {FORMAT_NAME} document")
-    _unknown_keys(doc, _KEYS, "code file")
-    fld = _typed(doc, "field", dict, "code file")
-    _unknown_keys(fld, _FIELD_KEYS, "field")
-    field = _field(fld)
-    rows = _typed(doc, "generator", list, "code file")
-    if not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows):
-        raise CodeError("generator must be a list of equal-length rows")
-    n, k = _typed(doc, "n", int, "code file"), _typed(doc, "k", int, "code file")
-    label = _typed(doc, "label", str, "code file") if "label" in doc else ""
-    code = LinearCode(field, Matrix(field, rows), label=label)
-    if code.n != n or code.k != k:
-        raise CodeError(
-            f"declared [{n},{k}] but generator is [{code.n},{code.k}]")
-    cached = doc.get("weight_distribution")
-    if cached is not None:
-        # a key longer than n's is no weight, and int() may refuse it
-        width = len(str(code.n))
-        if not isinstance(cached, dict) or not all(
-                isinstance(w, str) and w.isascii() and w.isdigit()
-                and len(w) <= width and type(c) is int
-                for w, c in cached.items()):
-            raise CodeError("weight_distribution must map weights to counts")
+    _check(doc, _CODE, "code file")
+    field = _field(doc["field"])
+    code = LinearCode(field, Matrix(field, doc["generator"]),
+                      label=doc.get("label", ""))
+    if code.n != doc["n"] or code.k != doc["k"]:
+        raise CodeError(f"declared [{doc['n']},{doc['k']}] but generator is "
+                        f"[{code.n},{code.k}]")
+    if "weight_distribution" in doc:
         # a claim: the first walk that counts weights checks it
-        code._claim = WeightDistribution(
-            field.q, code.n, code.k, {int(w): c for w, c in cached.items()})
+        code._claim = WeightDistribution(field.q, code.n, code.k, {
+            int(w): c for w, c in doc["weight_distribution"].items()})
     return code
 
 
@@ -107,9 +153,4 @@ def save_code(code: LinearCode, path, with_distribution: bool = True):
 
 
 def load_code(path) -> LinearCode:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, too long an integer
-            raise CodeError(f"{path}: not a JSON document: {exc}") from exc
-    return code_from_dict(doc)
+    return code_from_dict(_read_json(path, CodeError))

@@ -423,7 +423,7 @@ class Matrix:
             check_row(field, r)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged matrix")
+            raise FieldError("ragged matrix")
         layout = _Packing(field, ncols)
         self._set(field, layout, tuple(map(layout.pack, rows)), rows)
 

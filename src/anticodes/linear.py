@@ -22,8 +22,9 @@ from collections import Counter
 
 from .gf import GF, Matrix, _Packing, _Reducer, point_position
 
-ENUM_CAP = int(os.environ.get("ANTICODES_ENUM_CAP", 1 << 24))
-MINIMAL_CAP = int(os.environ.get("ANTICODES_MINIMAL_CAP", 1 << 20))
+# the caps' defaults; the environment may override each (``_cap``)
+ENUM_CAP = 1 << 24
+MINIMAL_CAP = 1 << 20
 
 
 class CapExceeded(RuntimeError):
@@ -32,6 +33,20 @@ class CapExceeded(RuntimeError):
 
 class CodeError(ValueError):
     pass
+
+
+def _cap(name: str) -> int:
+    """The cap ``name`` now: the integer >= 1 in ANTICODES_<name>, read at
+    each use, or else this module's default; any other value, a CodeError."""
+    text = os.environ.get(f"ANTICODES_{name}")
+    if text is None:
+        return globals()[name]
+    cap = int(text) if text.isascii() and text.isdigit() and len(
+        text) <= decimal_limit() else 0     # int() reads no longer text
+    if cap < 1:
+        raise CodeError(f"ANTICODES_{name} must be an integer >= 1, "
+                        f"got {text!r}")
+    return cap
 
 
 # the most decimal digits printed even when Python's limit is lifted:
@@ -165,19 +180,23 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}]_{self.field.q}, {self.label!r})"
 
     # ------------------------------------------------------------------
-    def _check_cap(self):
-        if self.field.q ** self.k > ENUM_CAP:
-            raise CapExceeded(
-                f"q^k = {self.field.q ** self.k} exceeds enumeration cap")
+    @property
+    def distribution_verified(self) -> bool:
+        """False while ``weight_distribution`` returns a code file's claim
+        that no walk can check, the code being over the enumeration cap."""
+        return not (self._wd is None and self._claim is not None
+                    and self.field.q ** self.k > _cap("ENUM_CAP"))
 
     def weight_distribution(self) -> WeightDistribution:
         """Counts from one codeword per projective class, each times q - 1.
         Over the enumeration cap a claimed distribution stands unverified."""
         if self._wd is None:
-            if self._claim is not None and self.field.q ** self.k > ENUM_CAP:
-                return self._claim
-            self._check_cap()
             q = self.field.q
+            if q ** self.k > _cap("ENUM_CAP"):
+                if self._claim is not None:
+                    return self._claim
+                raise CapExceeded(
+                    f"q^k = {q ** self.k} exceeds enumeration cap")
             classes = Counter(map(int.bit_count,
                                   _classes(self.generator)))
             wd = WeightDistribution(q, self.n, self.k, {
@@ -218,10 +237,10 @@ class LinearCode:
         that fails, the same class an unpruned walk stops at.
         """
         F, q, k = self.field, self.field.q, self.k
-        if q ** k > MINIMAL_CAP:
+        if q ** k > _cap("MINIMAL_CAP"):
             raise CapExceeded(f"q^k = {q ** k} exceeds the minimality cap")
         heavy = 0               # over the enumeration cap a claim clears nothing
-        if q ** k <= ENUM_CAP:
+        if q ** k <= _cap("ENUM_CAP"):
             if self.ab_criterion():
                 return True, None
             heavy = -(-q * self.min_distance() // (q - 1))

@@ -5,7 +5,7 @@ Exact minimality over its cap (``MINIMAL_CAP``) is reported as the string
 "skipped" rather than failing the whole report. The distribution has no
 such fallback: over ``ENUM_CAP`` it raises ``CapExceeded``, unless the
 code came from a code file with a cached distribution, which is then
-reported unchecked.
+reported with ``distribution_verified`` False.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ def code_report(code: LinearCode) -> dict:
     (True, False or "skipped"), ``minimal_witness`` (None, or the
     covered and the covering codeword as two lists),
     ``ab_criterion``, ``bounds`` (``bounds_report``), ``optimality``
-    (``classify_optimality``) and ``label``."""
+    (``classify_optimality``), ``label`` (and ``distribution_verified``
+    False, for a claim over the enumeration cap)."""
     try:
         minimal, witness = code.is_minimal_exact()
     except CapExceeded:
@@ -31,7 +32,7 @@ def code_report(code: LinearCode) -> dict:
     wd = code.weight_distribution()
     d, delta = wd.min_weight, wd.max_weight
     q = code.field.q
-    return {
+    report = {
         "n": code.n, "k": code.k, "q": q,
         "d": d, "delta": delta, "t": wd.num_weights,
         "weights": wd.nonzero_weights(),
@@ -45,3 +46,6 @@ def code_report(code: LinearCode) -> dict:
         "optimality": classify_optimality(code.n, code.k, q, d),
         "label": code.label,
     }
+    if not code.distribution_verified:
+        report["distribution_verified"] = False
+    return report

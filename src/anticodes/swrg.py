@@ -134,7 +134,7 @@ def verify_swrg(code: LinearCode, l: int = 3) -> dict:
         raise CodeError("coset graph needs a projective code")
     _check_walk_length(l, code.n)
     _check_printable(code.n, l)
-    if 2 ** code.k > linear.ENUM_CAP:
+    if 2 ** code.k > linear._cap("ENUM_CAP"):
         raise CapExceeded(f"q^k = {2 ** code.k} exceeds enumeration cap, "
                           "so the weight distribution cannot be counted")
     return certificate(code.weight_distribution(), l)

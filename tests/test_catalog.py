@@ -102,6 +102,26 @@ BAD_ROWS = {
                                    "known_discrepancy": "no"},
     "known-discrepancy-an-int": {**SIMPLEX_ROW, "id": "bad",
                                  "known_discrepancy": 1},
+    # an expect value is typed, and its keys are a closed set
+    "expect-scalar-a-string": {**SIMPLEX_ROW, "id": "bad", "expect": {
+        "q": 2, "n": 7, "k": 3, "d": "4"}},
+    "expect-scalar-a-bool": {**SIMPLEX_ROW, "id": "bad", "expect": {
+        "q": 2, "n": True, "k": 3}},
+    "expect-weights-not-ints": {**SIMPLEX_ROW, "id": "bad", "expect": {
+        "weights": ["4"]}},
+    "expect-unknown-key": {**SIMPLEX_ROW, "id": "bad", "expect": {
+        "q": 2, "min_distance": 999}},
+    "transform-base-unknown-key": {**TRANSFORM_ROW, "id": "bad", "base": {
+        **TINY_BASE, "d": 4}},
+    # each mode refuses the other mode's keys
+    "transform-with-build": {**TRANSFORM_ROW, "id": "bad",
+                             "build": SIMPLEX_ROW["build"]},
+    "construct-with-base": {**SIMPLEX_ROW, "id": "bad", "base": TINY_BASE},
+    "construct-with-K": {**SIMPLEX_ROW, "id": "bad", "K": 4},
+    "note-not-string": {**SIMPLEX_ROW, "id": "bad", "note": 5},
+    "source-not-string": {**SIMPLEX_ROW, "id": "bad", "source": ["paper"]},
+    "build-without-params": {**SIMPLEX_ROW, "id": "bad",
+                             "build": {"family": "simplex"}},
 }
 
 
@@ -131,6 +151,40 @@ def test_bad_row_rejected_at_load(tmp_path, defect):
         cat.load_manifest(path)
 
 
+def test_a_bad_row_names_its_key_in_one_line(tmp_path):
+    path = write_manifest(tmp_path, {**SIMPLEX_ROW, "expect": {"d": "4"}})
+    with pytest.raises(cat.ManifestError) as info:
+        cat.load_manifest(path)
+    assert str(info.value) == "manifest entry 's': expect.d must be an integer"
+    path = write_manifest(tmp_path, {**SIMPLEX_ROW, "build": {
+        "family": "simplex", "params": {"q": 2, "k": 3, "m": 3}}})
+    with pytest.raises(cat.ManifestError, match=r"^manifest entry 's': "
+                       r"unknown key build\.params\.m$"):
+        cat.load_manifest(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200000,                       # too deep for the decoder
+    '{"entries": [], "version": 2}',    # a key no manifest has
+])
+def test_a_manifest_that_is_no_manifest_is_refused(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(cat.ManifestError):
+        cat.load_manifest(path)
+
+
+def test_a_transform_row_checks_its_antigriesmer_defect(tmp_path):
+    # the transformed [8, 4] code has delta = 8: 8 + 4 + 2 + 1 - 8 = 7
+    wrong = {**TRANSFORM_ROW, "expect": {**TRANSFORM_ROW["expect"],
+                                         "antigriesmer_defect": 0}}
+    right = {**wrong, "id": "t2", "expect": {**TRANSFORM_ROW["expect"],
+                                             "antigriesmer_defect": 7}}
+    entries = cat.load_manifest(write_manifest(tmp_path, wrong, right))
+    assert [cat.verify_entry(e)["mismatches"] for e in entries] == [
+        ["antigriesmer_defect: got 7, expected 0"], []]
+
+
 def test_build_code_unknown_family():
     with pytest.raises(cat.ManifestError):
         cat.build_code({"family": "nope", "params": {}})
@@ -144,6 +198,8 @@ def test_build_code_unknown_family():
     "simplex",
     {"family": "simplex", "params": {"q": "2", "k": 3}},
     {"family": "simplex", "params": {"q": 2, "k": 3}, "complement_at": "5"},
+    {"family": "simplex", "params": {"q": 2, "k": 3}, "complement_at": True},
+    {"family": ["simplex"], "params": {"q": 2, "k": 3}},
 ])
 def test_build_code_checks_its_build(build):
     # the same check as a manifest row's, at build time
@@ -243,14 +299,18 @@ def test_catalog_pass_builds_each_code_once(entries, monkeypatch):
         family: counted(family, builder)
         for family, builder in cat.FAMILIES.items()})
     monkeypatch.setattr(cons, "complement", complement)
-    check_build = cat.check_build
+    check = cat._check
 
-    def counted_check(build):
-        checks[json.dumps(build, sort_keys=True)] += 1
-        return check_build(build)
+    def counted_check(value, schema, where, *args):
+        checks[where] += 1
+        return check(value, schema, where, *args)
 
-    # a row's build is checked once, when the manifest is loaded
-    monkeypatch.setattr(cat, "check_build", counted_check)
+    # a row is checked once, when the manifest is loaded, and never again
+    monkeypatch.setattr(cat, "_check", counted_check)
+    assert cat.load_manifest() == entries
+    assert checks == Counter(["manifest", *(f"manifest entry {e['id']!r}"
+                                             for e in entries)])
+    checks.clear()
     rows = [e["build"] for e in entries
             if e["mode"] == "construct_and_enumerate"]
     keys = {(b["family"], tuple(sorted(b.get("params", {}).items())))

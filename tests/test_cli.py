@@ -16,7 +16,7 @@ from anticodes import constructions as cons
 from anticodes import linear
 from anticodes.cli import build_parser, main
 from anticodes.gf import FieldError
-from test_catalog import BAD_ROWS
+from test_catalog import BAD_ROWS, SIMPLEX_ROW
 
 
 def run(argv):
@@ -320,6 +320,25 @@ def test_cached_distribution_over_the_cap_stands(monkeypatch):
     assert code.weight_distribution().to_dict() == doc["weight_distribution"]
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["wd-transform", "--K", "4"]],
+                         ids=lambda argv: argv[0])
+def test_an_unchecked_claim_says_so(tmp_path, capsys, monkeypatch, argv):
+    # simplex(2, 3) is {0: 1, 4: 7}; over the cap a false claim stands
+    doc = codefile.code_to_dict(cons.simplex(2, 3), with_distribution=True)
+    forged = _write_doc(tmp_path, {**doc, "weight_distribution": {
+        "0": 1, "3": 7}})
+    monkeypatch.setenv("ANTICODES_ENUM_CAP", "4")
+    assert run([argv[0], str(forged), *argv[1:]]) == 0
+    assert json.loads(capsys.readouterr().out)["distribution_verified"] \
+        is False
+    # under the cap the distribution is counted, and nothing is added
+    monkeypatch.delenv("ANTICODES_ENUM_CAP")
+    for fmt in ("json", "text"):
+        path = _write_doc(tmp_path, doc)
+        assert run([argv[0], str(path), *argv[1:], "--format", fmt]) == 0
+        assert "distribution_verified" not in capsys.readouterr().out
+
+
 def test_complement_subcommand(tmp_path, code_file):
     out = tmp_path / "comp.json"
     assert run(["complement", str(code_file), "--K", "4",
@@ -447,6 +466,7 @@ BAD_MANIFESTS = {
     "not-json": b"{not json",
     "long-integer": b'{"entries": [' + b"9" * 5000 + b"]}",
     "not-utf-8": b'{"entries": ["\xff"]}',
+    "too-deep": b"[" * 200000,
 }
 
 
@@ -480,9 +500,34 @@ def test_console_script_help():
     assert "construct" in proc.stdout
 
 
+def test_a_bad_cap_override_is_read_at_use_not_import():
+    # the import and --help work; a command then exits 2 in one line
+    env = dict(os.environ, ANTICODES_ENUM_CAP="abc")
+    argv = [sys.executable, "-m", "anticodes.cli"]
+    proc = subprocess.run([*argv, "--help"], capture_output=True, env=env)
+    assert proc.returncode == 0
+    proc = subprocess.run([*argv, "catalog", "verify"], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: ANTICODES_ENUM_CAP must be an integer "
+                           ">= 1, got 'abc'\n")
+
+
+def test_a_cap_override_applies_when_it_is_set(tmp_path, capsys,
+                                                monkeypatch):
+    # simplex(2, 4) has q^k = 16 messages
+    path = _write_doc(tmp_path, codefile.code_to_dict(cons.simplex(2, 4)))
+    monkeypatch.setenv("ANTICODES_ENUM_CAP", "8")
+    assert run(["analyze", str(path)]) == 3
+    monkeypatch.setenv("ANTICODES_ENUM_CAP", "16")
+    assert run(["analyze", str(path)]) == 0
+
+
 def _write_doc(tmp_path, doc):
+    """``doc`` as JSON, or as it is when it is bytes."""
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes)
+                     else json.dumps(doc).encode())
     return path
 
 
@@ -589,6 +634,9 @@ BAD_INPUTS = {
                                             "modulus": [1, 0]}},
     "rank-deficient": {**GOOD, "generator": [ROWS[1], *ROWS[1:]]},
     "unknown-key": {**GOOD, "colour": "red"},
+    "bool-element": {**GOOD, "generator": [[x == 1 or x for x in ROWS[0]],
+                                           *ROWS[1:]]},
+    "too-deep": b"[" * 200000,
 }
 COMMANDS = [["analyze"], ["wd-transform"], ["swrg-verify"],
             ["complement", "--K", "7"]]
@@ -599,15 +647,34 @@ def test_every_command_accepts_the_good_file(tmp_path, capsys, argv):
     assert run([argv[0], str(_write_doc(tmp_path, GOOD)), *argv[1:]]) == 0
 
 
-@pytest.mark.parametrize("argv, doc", [
-    *[(argv, BAD_INPUTS[bad]) for argv in COMMANDS for bad in BAD_INPUTS],
+MANIFEST = ["catalog", "verify", "--manifest"]
+BAD_CAPS = [{f"ANTICODES_{cap}": value}
+            for cap in ("ENUM_CAP", "MINIMAL_CAP")
+            for value in ("abc", "", "1e3", "-5", "0")]
+
+
+@pytest.mark.parametrize("argv, doc, env", [
+    *[(argv, BAD_INPUTS[bad], {}) for argv in COMMANDS for bad in BAD_INPUTS],
     (["wd-transform", "--K", "10000"],
-     codefile.code_to_dict(cons.simplex(3, 3), with_distribution=True)),
+     codefile.code_to_dict(cons.simplex(3, 3), with_distribution=True), {}),
+    *[(MANIFEST, {"entries": [BAD_ROWS[bad]]}, {})
+      for bad in ("expect-scalar-a-string", "expect-unknown-key")],
+    (MANIFEST, b"[" * 200000, {}),
+    *[(argv, GOOD, env) for argv in COMMANDS for env in BAD_CAPS],
+    *[(MANIFEST, {"entries": [SIMPLEX_ROW]}, env) for env in BAD_CAPS],
 ], ids=[*(f"{argv[0]}-{bad}" for argv in COMMANDS for bad in BAD_INPUTS),
-        "wd-transform-huge-K"])
-def test_a_bad_input_is_one_error_line(tmp_path, capsys, argv, doc):
-    path = _write_doc(tmp_path, doc)
-    assert run([argv[0], str(path), *argv[1:]]) == 2
+        "wd-transform-huge-K", "catalog-expect-scalar-a-string",
+        "catalog-expect-unknown-key", "catalog-too-deep",
+        *(f"{argv[0]}-{name}={value or 'empty'}"
+          for argv in [*COMMANDS, MANIFEST]
+          for env in BAD_CAPS for name, value in env.items())])
+def test_a_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                                       doc, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = str(_write_doc(tmp_path, doc))
+    argv = [*argv, path] if argv == MANIFEST else [argv[0], path, *argv[1:]]
+    assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
 
@@ -659,3 +726,26 @@ def test_readme_family_table_is_the_registry():
                          else f"[--{p.name}]"
                          for p in signature.parameters.values())
         for family, signature in cat.SIGNATURES.items()}
+
+
+def test_readme_manifest_table_is_the_schema():
+    # every key path of a row, whether it is required, and in which modes
+    tag, modes = cat._ENTRY
+    want = {}
+
+    def walk(schema, prefix, mode):
+        if type(schema) is tuple:   # a build: every family has these keys
+            schema = next(iter(schema[1].values()))
+        for key, (kind, required) in schema.items():
+            want.setdefault((prefix + key, required), set()).add(mode)
+            if type(kind) in (dict, tuple) and prefix + key != "build.params":
+                walk(kind, f"{prefix}{key}.", mode)
+
+    for mode, schema in modes.items():
+        walk(schema, "", mode)
+    rows = [line.split(" | ") for line in _readme_section(
+        "What it does").splitlines() if line.startswith("| `")]
+    table = {(key.strip("| `"), required == "yes"):
+             set(modes) if mode.strip(" |") == "both" else {mode.strip(" |`")}
+             for key, _, required, mode in rows}
+    assert table == want
