@@ -80,8 +80,9 @@ def _write_code(code, out: str | None) -> int:
         codefile.save_code(code, out)
         print(f"wrote {out}", file=sys.stderr)
     else:
-        print(json.dumps(codefile.code_to_dict(code, with_distribution=True),
-                         indent=2, sort_keys=True))
+        codefile._write_json(codefile.code_to_dict(code, with_distribution=True),
+                             sys.stdout)
+        print()
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
 
 from .gf import GF, Matrix
 from .linear import CodeError, LinearCode, WeightDistribution, decimal_limit
@@ -22,7 +21,7 @@ FORMAT_NAME = "linear-code"
 # kind is a schema, a type (matched exactly: a bool is never an int) or
 # one of the names below, each tested by its ``_KINDS`` entry.
 INTS = "a list of integers"
-ROWS = "a list of lists of integers"
+ROWS = "a list of lists"            # whose entries ``Matrix`` checks
 COUNTS = "a map of weights, in ASCII digits that int() reads, to integers"
 
 
@@ -36,8 +35,7 @@ def _is_counts(value) -> bool:
 # a list's test scans its items' types at C speed
 _KINDS = {
     INTS: lambda v: type(v) is list and set(map(type, v)) <= {int},
-    ROWS: lambda v: type(v) is list and set(map(type, v)) <= {list}
-    and set(map(type, chain.from_iterable(v))) <= {int},
+    ROWS: lambda v: type(v) is list and set(map(type, v)) <= {list},
     COUNTS: _is_counts,
 }
 _NAMES = {int: "an integer", str: "a string", bool: "true or false",
@@ -145,10 +143,33 @@ def code_from_dict(doc: dict) -> LinearCode:
     return code
 
 
+def _write_json(value, fh, indent="\n"):
+    """Write ``value`` to ``fh`` as ``json.dump(value, fh, indent=2,
+    sort_keys=True)`` does, for dicts keyed by strings, lists and scalars,
+    but each list of plain ints in one ``join`` (json's own encoder makes
+    a Python call per item); no more than one such list is held as text."""
+    inner = indent + "  "
+    if type(value) is dict and value:
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(f"{',' if i else ''}{inner}{json.dumps(key)}: ")
+            _write_json(value[key], fh, inner)
+        fh.write(indent + "}")
+    elif type(value) is list and value and set(map(type, value)) <= {int}:
+        fh.write(f"[{inner}{(',' + inner).join(map(str, value))}{indent}]")
+    elif type(value) is list and value:
+        fh.write("[")
+        for i, item in enumerate(value):
+            fh.write("," + inner if i else inner)
+            _write_json(item, fh, inner)
+        fh.write(indent + "]")
+    else:
+        fh.write(json.dumps(value))
+
+
 def save_code(code: LinearCode, path, with_distribution: bool = True):
     with open(path, "w") as fh:
-        json.dump(code_to_dict(code, with_distribution), fh, indent=2,
-                  sort_keys=True)
+        _write_json(code_to_dict(code, with_distribution), fh)
         fh.write("\n")
 
 

@@ -184,7 +184,7 @@ class GF:
         return hash((self.p, self.e, tuple(self.modulus)))
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:
             raise FieldError(f"{a!r} is not a valid element code for {self}")
         return a
 
@@ -402,7 +402,7 @@ class _Reducer:
 def check_row(field: GF, row):
     """``field.check`` on every entry of a row, at C speed; on a row that
     fails, ``field.check`` itself raises the FieldError."""
-    if row and not (all(issubclass(t, int) for t in set(map(type, row)))
+    if row and not (set(map(type, row)) <= {int}
                     and min(row) >= 0 and max(row) < field.q):
         for x in row:
             field.check(x)

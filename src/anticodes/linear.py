@@ -4,9 +4,11 @@ Weight counts and minimality verdicts come from one walk, ``_classes``,
 over the projective classes of nonzero messages: one message per class of
 q - 1 scalar multiples, which share one support. The walk holds each
 codeword packed in a single int, so a step is one word-wide addition and a
-weight is one popcount; memory is O(n * e) whatever q^k is. Minimality is
-checked one class at a time: the columns where the class vanishes must span
-its hyperplane (``_short_span``). That rank test feeds the columns, packed
+weight is one popcount. It runs in blocks of at most 256 codewords (p
+for a prime p > 256), each one pass over its lead's first block, so its
+memory is O(256 * n * e) whatever q^k is. Minimality is checked one class
+at a time: the columns where the class vanishes must span its hyperplane
+(``_short_span``). That rank test feeds the columns, packed
 as vectors of length k, to the row reducer ``Matrix`` elimination runs on
 (``gf._Reducer``), in every field alike. It runs on a second walk, and only
 on classes heavy enough to cover another (Ashikhmin-Barg), which the
@@ -19,6 +21,8 @@ import os
 import random
 import sys
 from collections import Counter
+from functools import lru_cache
+from itertools import chain
 
 from .gf import GF, Matrix, _Packing, _Reducer, point_position
 
@@ -308,40 +312,84 @@ def point_positions(field: GF, columns):
 # the number of trailing zero digits of s (a modular p-ary Gray code), so a
 # step adds one precomputed codeword beta_d * row. After s steps digit j is
 # (s_j - s_(j+1)) mod p, where s_j is the j-th base-p digit of s.
+#
+# The walk runs in blocks of p^a steps, a the most digits with p^a <=
+# _BLOCK (at least one). With s = h * p^a + r, digit j < a - 1 depends on r
+# alone, digit a - 1 is (r_(a-1) - h_0) mod p and the digits above depend
+# on h alone. So block h is the first block T0 plus one codeword d_h, and
+# d_h - d_(h-1) is the row of digit a + v_p(h) minus the row of digit
+# a - 1: each block after T0 is one comprehension over T0.
 # ----------------------------------------------------------------------
 
+# the most codewords in one block of the class walk
+_BLOCK = 256
+
+
+@lru_cache(maxsize=None)      # one tuple per prime p in use
+def _ruler(p: int, block: int):
+    """(a, v_p(s) for s = 1 .. p^a - 1), a the most digits, at least one,
+    with p^a <= block: the digit each step of a block's walk adds 1 to.
+    The first p^j - 1 entries are the ruler of a walk over j digits."""
+    a, ruler = 1, (0,) * (p - 1)
+    while p ** (a + 1) <= block:
+        ruler = ((*ruler, a) * p)[:-1]
+        a += 1
+    return a, ruler
+
+
 def _classes(generator: Matrix):
-    """Yield one support mask per projective class of nonzero messages.
+    """Iterate one support mask per projective class of nonzero messages.
 
     Codewords are the generator's packed rows summed in its layout, and a
     mask is (cw + low) & high. Its bits sit at lane positions, not
     coordinate positions, but its bit_count is the weight and supports
     nest exactly when masks do.
     """
+    return chain.from_iterable(_blocks(generator))
+
+
+def _blocks(generator: Matrix):
+    """The masks of ``_classes``, one list of p^a at a time (fewer for a
+    lead with fewer than a digits)."""
     p, e = generator.field.p, generator.field.e
     lay = generator.layout
-    w, low, high, guard, bump = lay.w, lay.low, lay.high, lay.guard, lay.bump
+    w1, low, high, guard, bump = lay.w - 1, lay.low, lay.high, lay.guard, lay.bump
+    a, ruler = _ruler(p, _BLOCK)
     scaled = [lay.powers(v) for v in generator.packed]    # beta_d * row
-    plain = p == 2 and e == 1
     for lead, multiples in enumerate(scaled):
         cw = multiples[0]                                 # beta_0 = 1
         tail = [v for later in scaled[lead + 1:] for v in later]
-        yield cw if plain else (cw + low) & high
+        inner, table = tail[:a], [cw]
+        append, steps = table.append, ruler[:p ** len(inner) - 1]
         if p == 2:
-            for s in range(1, 1 << len(tail)):
-                cw ^= tail[(s & -s).bit_length() - 1]
-                yield cw if plain else (cw + low) & high
+            for j in steps:
+                cw ^= inner[j]
+                append(cw)
+        else:
+            for j in steps:
+                cw += inner[j]
+                cw -= (((cw + bump) & guard) >> w1) * p
+                append(cw)
+        yield table if p == 2 and e == 1 else [x + low & high for x in table]
+        if len(tail) <= a:
             continue
-        top, s_digits = p - 1, [0] * len(tail)
-        for _ in range(p ** len(tail) - 1):
+        minus = lay._times(tail[a - 1], p - 1)
+        outer = [lay.add(v, minus) for v in tail[a:]]
+        d, top, h_digits = 0, p - 1, [0] * len(outer)
+        for _ in range(p ** len(outer) - 1):
             j = 0
-            while s_digits[j] == top:
-                s_digits[j] = 0
+            while h_digits[j] == top:
+                h_digits[j] = 0
                 j += 1
-            s_digits[j] += 1
-            cw += tail[j]
-            cw -= (((cw + bump) & guard) >> w - 1) * p
-            yield (cw + low) & high
+            h_digits[j] += 1
+            d = lay.add(d, outer[j])
+            if p != 2:
+                yield [((s := d + x) - (((s + bump) & guard) >> w1) * p + low)
+                       & high for x in table]
+            elif e == 1:
+                yield [d ^ x for x in table]
+            else:
+                yield [(d ^ x) + low & high for x in table]
 
 
 def _class_message(field: GF, k: int, index: int):

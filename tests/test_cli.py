@@ -1,5 +1,6 @@
 """CLI subcommands, formats, exit codes, and file round-trips."""
 
+import io
 import json
 import os
 import shlex
@@ -28,6 +29,36 @@ def code_file(tmp_path):
     path = tmp_path / "code.json"
     codefile.save_code(cons.simplex(2, 3), path)
     return path
+
+
+def _dumped(doc):
+    out = io.StringIO()
+    codefile._write_json(doc, out)
+    return out.getvalue()
+
+
+def test_the_code_writer_writes_what_json_dumps_writes():
+    # every manifest build, one code per field, and a label json escapes
+    codes = [cat.build_code(row["build"]) for row in cat.load_manifest()
+             if "build" in row]
+    codes += [cons.simplex(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)]
+    for code in codes:
+        doc = codefile.code_to_dict(code, with_distribution=True)
+        for label in (doc["label"], "", 'caf\u00e9 "1" \\ \n'):
+            doc = {**doc, "label": label}
+            assert _dumped(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _dumped({"a": [], "b": {}, "c": [[1], []]}) == json.dumps(
+        {"a": [], "b": {}, "c": [[1], []]}, indent=2, sort_keys=True)
+
+
+def test_saved_and_printed_code_files_are_json_dumps_text(tmp_path, capsys):
+    code = cons.kasami_code(3)
+    want = json.dumps(codefile.code_to_dict(code, with_distribution=True),
+                      indent=2, sort_keys=True) + "\n"
+    codefile.save_code(code, tmp_path / "k3.json")
+    assert (tmp_path / "k3.json").read_text() == want
+    assert run(["construct", "kasami", "--m", "3"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_construct_writes_code_file(tmp_path):

@@ -298,6 +298,32 @@ def test_class_walk_against_oracle(code):
     check_minimality(code, words)
 
 
+@pytest.mark.parametrize("q,k", [(2, 7), (3, 4), (4, 4), (5, 4), (7, 4),
+                                 (8, 3), (9, 3)])
+def test_blocked_walk_keeps_the_gray_order(q, k, monkeypatch):
+    # blocks of at most 4 codewords (of p for p > 4) give the first leads
+    # outer steps, with carries between outer digits; the order must be
+    # the one a single block per lead walks, class i _class_message's i
+    F, rng = field_make(*prime_power(q)), random.Random(q)
+    while True:
+        rows = [[rng.randrange(q) for _ in range(k + 3)] for _ in range(k)]
+        try:
+            code = LinearCode.from_generator(F, rows)
+            break
+        except CodeError:
+            pass
+    G, lay = code.generator, code.generator.layout
+    monkeypatch.setattr(linear, "_BLOCK", q ** k)
+    whole = list(linear._classes(G))
+    verdict = LinearCode.from_generator(F, rows).is_minimal_exact()
+    monkeypatch.setattr(linear, "_BLOCK", 4)
+    assert len(list(linear._blocks(G))) > k + 1       # outer steps
+    assert list(linear._classes(G)) == whole
+    assert whole == [lay.pack(code._codeword(linear._class_message(F, k, i)))
+                     + lay.low & lay.high for i in range(len(whole))]
+    assert LinearCode.from_generator(F, rows).is_minimal_exact() == verdict
+
+
 def elementwise_codeword(code, message):
     """uG summed one element at a time over the unpacked rows."""
     F = code.field
