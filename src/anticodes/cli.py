@@ -80,8 +80,8 @@ def _write_code(code, out: str | None) -> int:
         codefile.save_code(code, out)
         print(f"wrote {out}", file=sys.stderr)
     else:
-        codefile._write_json(codefile.code_to_dict(code, with_distribution=True),
-                             sys.stdout)
+        doc = codefile.code_to_dict(code, with_distribution=True)
+        codefile._write_json(doc, sys.stdout)
         print()
     return EXIT_OK
 

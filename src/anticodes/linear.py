@@ -353,7 +353,8 @@ def _blocks(generator: Matrix):
     lead with fewer than a digits)."""
     p, e = generator.field.p, generator.field.e
     lay = generator.layout
-    w1, low, high, guard, bump = lay.w - 1, lay.low, lay.high, lay.guard, lay.bump
+    w1, low, high = lay.w - 1, lay.low, lay.high
+    guard, bump = lay.guard, lay.bump
     a, ruler = _ruler(p, _BLOCK)
     scaled = [lay.powers(v) for v in generator.packed]    # beta_d * row
     for lead, multiples in enumerate(scaled):

@@ -362,7 +362,8 @@ def test_rref_edge_cases_match_schoolbook(q, rows):
     _check_linalg(field_of_order(q), len(rows[0]), rows)
 
 
-@pytest.mark.parametrize("bad", [-1, "q", 1.0, "1", 1 << 80, None, True, False])
+@pytest.mark.parametrize("bad", [-1, "q", 1.0, "1", 1 << 80, None, True,
+                                 False])
 @pytest.mark.parametrize("q", [2, 4, 9])
 def test_matrix_rejects_what_check_rejects(bad, q):
     F = field_of_order(q)
