@@ -18,7 +18,6 @@ gets the ``error`` verdict and fails it.
 
 from __future__ import annotations
 
-import inspect
 import json
 from importlib import resources
 
@@ -56,24 +55,33 @@ FAMILIES = {
         cons.two_subspace_code(2 ** s)),
 }
 
+
+def _parameters(builder) -> dict:
+    """{name: required} of a builder's parameters in order, read from its
+    code object: the last len(__defaults__) of them have defaults."""
+    code = builder.__code__
+    names = code.co_varnames[:code.co_argcount]
+    required = len(names) - len(builder.__defaults__ or ())
+    return {name: i < required for i, name in enumerate(names)}
+
+
 # each family's parameters, read once from its builder; every build's
 # params must bind to them
-SIGNATURES = {family: inspect.signature(builder)
+SIGNATURES = {family: _parameters(builder)
               for family, builder in FAMILIES.items()}
 
 # every parameter name of every family, in the order first declared
 PARAMS = list(dict.fromkeys(
-    name for signature in SIGNATURES.values()
-    for name in signature.parameters))
+    name for parameters in SIGNATURES.values() for name in parameters))
 
 # each family's build: its params are integers named by its builder's
 # parameters, required where the builder has no default
 _BUILD = ("family", {family: {
     "family": (str, True),
-    "params": ({name: (int, p.default is p.empty)
-                for name, p in signature.parameters.items()}, True),
+    "params": ({name: (int, required)
+                for name, required in parameters.items()}, True),
     "complement_at": (int, False),
-} for family, signature in SIGNATURES.items()})
+} for family, parameters in SIGNATURES.items()})
 
 
 def check_build(build) -> None:

@@ -12,7 +12,6 @@ manifest row with the same build would.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -53,6 +52,7 @@ def _render(data: dict, fmt: str) -> str:
         return json.dumps(data, indent=2, sort_keys=True)
     flat = _flatten(data)
     if fmt == "csv":
+        import csv          # here, so that only --format csv loads it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])

@@ -18,52 +18,20 @@ class FieldError(ValueError):
     pass
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+def _primes(n: int):
+    """The distinct prime divisors of n, smallest first; none for n < 2."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return out + [n] if n > 1 else out
 
 
-# ----------------------------------------------------------------------
-# polynomial helpers over GF(p); coefficient lists, index i = coeff of x^i
-# ----------------------------------------------------------------------
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod(a, b, p):
-    """Remainder of a divided by the monic b over GF(p)."""
-    a = list(a)
-    _poly_trim(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        factor = a[-1]
-        for i, bc in enumerate(b):
-            a[i + shift] = (a[i + shift] - factor * bc) % p
-        _poly_trim(a)
-    return a
-
-
-def _is_irreducible(poly, p):
-    """Trial division by all monic polynomials of degree <= deg/2 (deg >= 2)."""
-    deg = len(poly) - 1
-    if poly[0] == 0:  # divisible by x
-        return False
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            divisor = _digits(code, p, d) + [1]
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
+def is_prime(p: int) -> bool:
+    return _primes(p) == [p]
 
 
 def _digits(code: int, p: int, length: int):
@@ -81,55 +49,186 @@ def _undigits(digs, p: int) -> int:
     return code
 
 
+# ----------------------------------------------------------------------
+# GF(p)[x] modulo a monic polynomial, in integers
+# ----------------------------------------------------------------------
+
+def _ring(p: int, poly):
+    """(W, mul) for GF(p)[x]/(poly), deg poly = e >= 2.
+
+    A residue is one int with coefficient i in bits [iW, (i+1)W), each
+    < p. A product is one integer product (Kronecker substitution): the
+    lanes hold sums below L = bit length of 2e(p-1)^2 bits and never
+    carry. ``red`` takes every lane mod p at once, as t - p*floor(t*M/2^s)
+    with M = ceil(2^s/p) (for p = 2, t & 1), and the quotient by poly is
+    Barrett's, exact for polynomials: floor(floor(c/x^e) * mu / x^(e-2))
+    with mu = floor(x^(2e-2)/poly).
+    """
+    e = len(poly) - 1
+    L = (2 * e * (p - 1) ** 2).bit_length()
+    s = L + p.bit_length()
+    M = -((-1 << s) // p)
+    W = L if p == 2 else L + M.bit_length()
+    ones = ((1 << (2 * e - 1) * W) - 1) // ((1 << W) - 1)  # bit 0 of each lane
+    low = (1 << e * W) - 1
+    rem, mu = [0] * (2 * e - 2) + [1], [0] * (e - 1)
+    for t in range(2 * e - 2, e - 1, -1):
+        mu[t - e] = c = rem[t] % p
+        for i, f in enumerate(poly):
+            rem[t - e + i] -= c * f
+    mu = sum(c << i * W for i, c in enumerate(mu))
+    neg = sum(-c % p << i * W for i, c in enumerate(poly))
+    shift, back = e * W, (e - 2) * W
+    if p == 2:
+        def mul(a, b):
+            c = a * b & ones
+            q = (c >> shift) * mu & ones
+            return (c ^ (q >> back) * neg) & low & ones
+        return W, mul
+    quot = ones * ((1 << W - s) - 1)
+
+    def red(c):
+        return c - p * (c * M >> s & quot)
+
+    def mul(a, b):
+        c = red(a * b)
+        q = red((c >> shift) * mu) >> back
+        return red((c & low) + (q * neg & low))
+    return W, mul
+
+
+def _power(mul, a, n: int):
+    """a^n (n >= 1) by squaring and multiplying."""
+    r = a
+    for bit in bin(n)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, a)
+    return r
+
+
+def _is_irreducible(poly, p: int) -> bool:
+    """Whether the monic poly of degree e is irreducible over GF(p).
+
+    Degree 1 always is; otherwise a root in GF(p) is a linear factor, and
+    for e <= 3 the only possible one. For e >= 4 this is Rabin's test
+    without a gcd: x^(p^e) = x mod poly makes poly square-free with every
+    factor of a degree d | e, and then x^(p^(e/r)) - x is a unit, i.e. has
+    order dividing p^e - 1, for every prime r | e exactly when no factor
+    has d | e/r, i.e. when poly is one factor of degree e.
+    """
+    e = len(poly) - 1
+    if e == 1:
+        return True
+    for a in range(p):
+        v = 0
+        for c in reversed(poly):
+            v = (v * a + c) % p
+        if not v:
+            return False
+    if e < 4:
+        return True
+    W, mul = _ring(p, poly)
+    x = 1 << W
+
+    def frobenius(v, k):            # v^(p^k)
+        for _ in range(k):
+            v = _power(mul, v, p)
+        return v
+    if frobenius(x, e) != x:
+        return False
+    for r in _primes(e):
+        h = frobenius(x, e // r)
+        h += (-1 if h >> W & (1 << W) - 1 else p - 1) << W      # h - x
+        if not h or _power(mul, h, p ** e - 1) != 1:
+            return False
+    return True
+
+
 def smallest_irreducible(p: int, e: int):
     """Monic irreducible of degree e over GF(p), minimal in the ordering
-    that compares coefficient lists (c0, c1, ...) lexicographically."""
+    that compares coefficient lists (c0, c1, ...) lexicographically; for
+    e >= 2, c0 = 0 would be a factor x."""
     if e == 1:
         return [0, 1]
     from itertools import product
-    for tail in product(range(p), repeat=e):
+    for tail in product(range(1, p), *[range(p)] * (e - 1)):
         poly = list(tail) + [1]
         if _is_irreducible(poly, p):
             return poly
     raise FieldError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
-def _generator_powers(p: int, e: int, modulus):
-    """[1, g, ..., g^(q-2)] for the first code g of multiplicative order
-    q - 1; FieldError if none exists, i.e. if the modulus is reducible.
+def _guard(p: int, w: int, lanes: int):
+    """(guard, bump) of the guard-bit addition of ``_Packing`` over
+    ``lanes`` lanes of w bits."""
+    guard = ((1 << lanes * w) - 1) // ((1 << w) - 1) << w - 1
+    return guard, (guard >> w - 1) * ((1 << w - 1) - p)
 
-    A walk that returns to 1 early marks its powers, which have smaller
-    order too; in a field every nonzero g has g^(q-1) = 1.
+
+def _span(vecs, p: int, w: int, lanes: int):
+    """[sum of d_i * vecs[i] over the base-p digits d_i of c, for every
+    c < p^len(vecs)], of packed digit vectors of ``lanes`` w-bit lanes:
+    XOR for p = 2, and for odd p the guard-bit addition."""
+    out = [0]
+    if p == 2:
+        for v in vecs:
+            out += [t ^ v for t in out]
+        return out
+    guard, bump = _guard(p, w, lanes)
+    for v in vecs:
+        mults = [0]
+        for _ in range(p - 1):
+            s = mults[-1] + v
+            mults.append(s - ((s + bump & guard) >> w - 1) * p)
+        out = [s - ((s + bump & guard) >> w - 1) * p
+               for m in mults for t in out for s in (t + m,)]
+    return out
+
+
+def _generator_walk(p: int, e: int, modulus):
+    """[1, g, ..., g^(q-2)] for the first code g of multiplicative order
+    q - 1 modulo the irreducible ``modulus``.
+
+    g is the first code to pass the order test g^((q-1)/r) != 1 for every
+    prime r | q - 1 (for e >= 2 from code p on: a constant's order divides
+    p - 1). The table of g * c for every code c is ``_span`` of the
+    g * x^i, read back as codes for odd p (for p = 2 the lanes are the
+    code's bits); then each of the q - 2 steps of the walk is one lookup.
     """
     q = p ** e
-    low = [(i, -c) for i, c in enumerate(modulus[:e]) if c]  # x^e = -(low)
-    seen = bytearray(q)
-    for g in range(1, q):
-        if seen[g]:
-            continue
-        gd = [(i, c) for i, c in enumerate(_digits(g, p, e)) if c]
-        powers, cur = [1], [1] + [0] * (e - 1)
-        while True:
-            prod = [0] * (e + gd[-1][0])
-            for i, c in gd:
-                for j, x in enumerate(cur):
-                    prod[i + j] += c * x
-            for t in range(len(prod) - 1, e - 1, -1):
-                top = prod[t] % p
-                for i, c in low:
-                    prod[t - e + i] += top * c
-            cur = [x % p for x in prod[:e]]
-            code = _undigits(cur, p)
-            if code == 1:
-                break
-            if len(powers) == q - 1:
-                raise FieldError(f"modulus {modulus} is reducible over GF({p})")
-            powers.append(code)
-        if len(powers) == q - 1:
-            return powers
-        for a in powers:
-            seen[a] = 1
-    raise FieldError(f"modulus {modulus} is reducible over GF({p})")
+    if e == 1:
+        g = next(g for g in range(1, p)
+                 if all(pow(g, (p - 1) // r, p) != 1 for r in _primes(p - 1)))
+        out = [1]
+        for _ in range(p - 2):
+            out.append(out[-1] * g % p)
+        return out
+    W, mul = _ring(p, modulus)
+    orders = [(q - 1) // r for r in _primes(q - 1)]
+    for g in range(p, q):
+        G = sum(d << i * W for i, d in enumerate(_digits(g, p, e)))
+        if all(_power(mul, G, n) != 1 for n in orders):
+            break
+    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    bases = []                                 # g * x^i in w-bit lanes
+    for _ in range(e):
+        bases.append(sum((G >> i * W & (1 << W) - 1) << i * w
+                         for i in range(e)))
+        G = mul(G, 1 << W)
+    times_g = _span(bases, p, w, e)
+    if p > 2:                   # the low k digits and the high e - k apart
+        k = e // 2
+        units = [1 << i * w for i in range(e)]
+        low = dict(zip(_span(units[:k], p, w, e), range(p ** k)))
+        high = dict(zip(_span(units[:e - k], p, w, e), range(0, q, p ** k)))
+        mask = (1 << k * w) - 1
+        times_g = [low[v & mask] + high[v >> k * w] for v in times_g]
+    v, out = 1, [1]
+    for _ in range(q - 2):
+        v = times_g[v]
+        out.append(v)
+    return out
 
 
 class GF:
@@ -159,19 +258,20 @@ class GF:
             raise FieldError(f"modulus coefficients must be integers in [0, {p})")
         if len(self.modulus) != e + 1 or self.modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree e")
-        powers = _generator_powers(p, e, self.modulus)
+        # the canonical modulus passed this test when it was chosen
+        if modulus is not None and not _is_irreducible(self.modulus, p):
+            raise FieldError(f"modulus {self.modulus} is reducible over GF({p})")
+        powers = _generator_walk(p, e, self.modulus)
         self._exp = powers + powers
-        self._log = [0] * q
+        self._log = log = [0] * q
         for i, a in enumerate(powers):
-            self._log[a] = i
+            log[a] = i
         self._half = (q - 1) // 2 if p > 2 else 0  # -1 = g^half
         if p > 2 and e > 1:
-            # 1 + g^k differs from g^k in digit 0 only
-            self._zech = [-1] * (q - 1)
-            for k, a in enumerate(powers):
-                b = a - p + 1 if a % p == p - 1 else a + 1
-                if b:
-                    self._zech[k] = self._log[b]
+            # 1 + g^k differs from g^k in digit 0 only, and is 0 at k = half
+            self._zech = [log[a - p + 1 if a % p == p - 1 else a + 1]
+                          for a in powers]
+            self._zech[self._half] = -1
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -281,11 +381,10 @@ class _Packing:
         w, W, self.lanes, self.unlane, self._bits, self._unbits = \
             _lane_tables(field)
         every = ((1 << length * W) - 1) // ((1 << W) - 1)   # bit 0 of every lane
-        digit = ((1 << length * e * w) - 1) // ((1 << w) - 1)  # of every digit
         self.field, self.length, self.p, self.w, self.W = field, length, p, w, W
         self.lane = (1 << W) - 1
         self.low, self.high = ((1 << W - 1) - 1) * every, (1 << W - 1) * every
-        self.guard, self.bump = (1 << w - 1) * digit, ((1 << w - 1) - p) * digit
+        self.guard, self.bump = _guard(p, w, length * e)
         self.digit0 = ((1 << w) - 1) * every             # digit 0 of every lane
         # x^e modulo the modulus: for p = 2 as lane bits, for odd p as
         # (bit offset of digit d, its coefficient)

@@ -1,5 +1,6 @@
 """CLI subcommands, formats, exit codes, and file round-trips."""
 
+import inspect
 import io
 import json
 import os
@@ -531,6 +532,16 @@ def test_console_script_help():
     assert "construct" in proc.stdout
 
 
+def test_importing_the_cli_loads_no_inspect_or_csv():
+    # a fresh process, since pytest has loaded these modules already
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, anticodes.cli; print(sorted("
+             "{'inspect', 'ast', 'dis', 'csv'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_a_bad_cap_override_is_read_at_use_not_import():
     # the import and --help work; a command then exits 2 in one line
     env = dict(os.environ, ANTICODES_ENUM_CAP="abc")
@@ -749,14 +760,21 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch):
 
 
 def test_readme_family_table_is_the_registry():
+    # inspect is the oracle; the package reads code objects
+    signatures = {family: inspect.signature(builder).parameters.values()
+                  for family, builder in cat.FAMILIES.items()}
     rows = [line.split(" | ")[:2] for line in
             _readme_section("CLI").splitlines() if line.startswith("| `")]
     table = {family.strip("| `"): flags.strip("`") for family, flags in rows}
     assert table == {
         family: " ".join(f"--{p.name}" if p.default is p.empty
-                         else f"[--{p.name}]"
-                         for p in signature.parameters.values())
-        for family, signature in cat.SIGNATURES.items()}
+                         else f"[--{p.name}]" for p in parameters)
+        for family, parameters in signatures.items()}
+    # the same names, in the same order, required where there is no default
+    assert {family: list(parameters.items())
+            for family, parameters in cat.SIGNATURES.items()} == {
+        family: [(p.name, p.default is p.empty) for p in parameters]
+        for family, parameters in signatures.items()}
 
 
 def test_readme_manifest_table_is_the_schema():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from anticodes import catalog as cat
 from anticodes.constructions import _evaluate, _trace, field_of_order
 from anticodes.gf import (
-    GF, FieldError, Matrix, field_make, is_prime, smallest_irreducible,
+    GF, FieldError, Matrix, _digits, _is_irreducible, _undigits, field_make,
+    is_prime, smallest_irreducible,
 )
 
 FIELDS = [field_make(2, 1), field_make(3, 1), field_make(2, 2),
@@ -238,6 +239,9 @@ def test_arithmetic_matches_oracle_sampled(p, e):
     (2, 10, [1] + [0] * 9 + [1]),   # x^10 + 1 = (x^5 + 1)^2
     (3, 2, [2, 0, 1]),              # (x + 1)(x + 2)
     (2, 4, [1, 0, 1, 0, 1]),        # (x^2 + x + 1)^2
+    (3, 4, [1, 0, 2, 0, 1]),        # (x^2 + 1)^2
+    (5, 3, [4, 0, 0, 1]),           # x^3 - 1
+    (2, 16, [1] + [0] * 15 + [1]),  # x^16 + 1 = (x + 1)^16, at the size cap
 ])
 def test_reducible_modulus_rejected(p, e, modulus):
     with pytest.raises(FieldError, match="reducible"):
@@ -260,6 +264,115 @@ def test_user_modulus_gives_a_field():
     # x^2 + x + 2 is irreducible but not the canonical x^2 + 1 over GF(3)
     field = GF(3, 2, [2, 1, 1])
     _check_against_oracle(field, range(9))
+    _check_tables(field)
+
+
+# ----------------------------------------------------------------------
+# the field tables against the generator search and trial division
+# ----------------------------------------------------------------------
+
+def _poly_mod(a, b, p):
+    """Remainder of a divided by the monic b over GF(p)."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    while len(a) >= len(b):
+        shift, factor = len(a) - len(b), a[-1]
+        for i, bc in enumerate(b):
+            a[i + shift] = (a[i + shift] - factor * bc) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def irreducible_by_trial_division(poly, p):
+    """No monic divisor of degree 1 to deg/2: the oracle for
+    ``_is_irreducible``."""
+    deg = len(poly) - 1
+    return all(_poly_mod(poly, _digits(code, p, d) + [1], p)
+               for d in range(1, deg // 2 + 1) for code in range(p ** d))
+
+
+def generator_powers(p, e, modulus):
+    """[1, g, ..., g^(q-2)] for the first code g of multiplicative order
+    q - 1, found by walking the powers of each candidate by schoolbook
+    multiplication on digit lists; FieldError if none has that order, i.e.
+    if the modulus is reducible. The oracle for the order test and the
+    table walk that build ``GF``'s tables.
+
+    A walk that returns to 1 early marks its powers, which have smaller
+    order too; in a field every nonzero g has g^(q-1) = 1.
+    """
+    q = p ** e
+    low = [(i, -c) for i, c in enumerate(modulus[:e]) if c]  # x^e = -(low)
+    seen = bytearray(q)
+    for g in range(1, q):
+        if seen[g]:
+            continue
+        gd = [(i, c) for i, c in enumerate(_digits(g, p, e)) if c]
+        powers, cur = [1], [1] + [0] * (e - 1)
+        while True:
+            prod = [0] * (e + gd[-1][0])
+            for i, c in gd:
+                for j, x in enumerate(cur):
+                    prod[i + j] += c * x
+            for t in range(len(prod) - 1, e - 1, -1):
+                top = prod[t] % p
+                for i, c in low:
+                    prod[t - e + i] += top * c
+            cur = [x % p for x in prod[:e]]
+            code = _undigits(cur, p)
+            if code == 1:
+                break
+            if len(powers) == q - 1:
+                raise FieldError(f"modulus {modulus} is reducible over GF({p})")
+            powers.append(code)
+        if len(powers) == q - 1:
+            return powers
+        for a in powers:
+            seen[a] = 1
+    raise FieldError(f"modulus {modulus} is reducible over GF({p})")
+
+
+def _check_tables(field):
+    """exp, log and Zech tables against the generator search and
+    ``Oracle`` addition."""
+    p, e, q = field.p, field.e, field.q
+    powers = generator_powers(p, e, field.modulus)
+    assert field._exp == powers + powers
+    log = [0] * q
+    for i, a in enumerate(powers):
+        log[a] = i
+    assert field._log == log
+    if p > 2 and e > 1:
+        ref = Oracle(p, e, field.modulus)
+        assert field._zech == [log[ref.add(1, a)] if ref.add(1, a) else -1
+                               for a in powers]
+
+
+TABLE_FIELDS = [(p, e) for p in range(2, 1 << 10) if is_prime(p)
+                for e in range(1, 11) if p ** e <= 1 << 10]
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS)
+def test_tables_match_the_generator_search(p, e):
+    field = GF(p, e)
+    first = next(list(t) + [1] for t in product(range(p), repeat=e)
+                 if irreducible_by_trial_division(list(t) + [1], p))
+    assert field.modulus == smallest_irreducible(p, e) == first
+    _check_tables(field)
+
+
+@pytest.mark.parametrize("p,e", [(2, e) for e in range(1, 9)]
+                         + [(3, e) for e in range(1, 6)]
+                         + [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2)])
+def test_irreducibility_matches_trial_division(p, e):
+    # every monic polynomial of degree e; e = 4, 6, 8 have factors of
+    # degrees that divide e, which only the x^(p^(e/r)) - x unit test rejects
+    for tail in product(range(p), repeat=e):
+        poly = list(tail) + [1]
+        assert _is_irreducible(poly, p) == \
+            irreducible_by_trial_division(poly, p), poly
 
 
 # ----------------------------------------------------------------------
