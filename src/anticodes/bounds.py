@@ -7,7 +7,7 @@ Everything is exact integer arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from importlib import resources
+from functools import cache
 
 from .linear import decimal_limit, prints_in_decimal
 
@@ -89,27 +89,23 @@ def bounds_report(q: int, n: int, k: int, d: int, delta: int) -> dict:
 # best-known minimum distances (static, literature-cited entries only)
 # ----------------------------------------------------------------------
 
-_BEST_KNOWN = None
-
-
+@cache
 def best_known_table() -> dict:
-    """{(q, n, k): d_best} loaded from the bundled data file."""
-    global _BEST_KNOWN
-    if _BEST_KNOWN is None:
-        table = {}
-        text = resources.files("anticodes.data").joinpath("best_known.csv").read_text()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            q, n, k, d_best, tag = line.split(",")
-            key = (int(q), int(n), int(k))
-            val = int(d_best)
-            if key in table and table[key] != val:
-                raise ValueError(f"conflicting best-known entries for {key}")
-            table[key] = val
-        _BEST_KNOWN = table
-    return _BEST_KNOWN
+    """{(q, n, k): d_best} loaded from the bundled data file, once."""
+    from importlib import resources         # here, to keep start-up light
+    table = {}
+    text = resources.files("anticodes.data").joinpath("best_known.csv").read_text()
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        q, n, k, d_best, tag = line.split(",")
+        key = (int(q), int(n), int(k))
+        val = int(d_best)
+        if key in table and table[key] != val:
+            raise ValueError(f"conflicting best-known entries for {key}")
+        table[key] = val
+    return table
 
 
 def classify_optimality(n: int, k: int, q: int, d: int) -> dict:

@@ -19,7 +19,6 @@ gets the ``error`` verdict and fails it.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from . import constructions as cons
 from .bounds import antigriesmer
@@ -49,10 +48,11 @@ FAMILIES = {
     "ovoid": lambda q: cons.ovoid_code(q),
     "dual-bch": lambda m: cons.dual_bch_code(m),
     "kasami": lambda m: cons.kasami_code(m),
+    # the outer GF(2^s) is checked against the size cap before 2^s is formed
     "concat-ovoid": lambda s: cons.concatenate_with_simplex(
-        cons.ovoid_code(2 ** s)),
+        cons.ovoid_code(cons.field_make(2, s).q)),
     "concat-two-subspace": lambda s: cons.concatenate_with_simplex(
-        cons.two_subspace_code(2 ** s)),
+        cons.two_subspace_code(cons.field_make(2, s).q)),
 }
 
 
@@ -189,6 +189,7 @@ def load_manifest(path=None) -> list:
     """Entries of the bundled manifest, or of an explicit JSON file, each
     checked against its mode's schema when it is read."""
     if path is None:        # a package installed as files, not zipped
+        from importlib import resources     # here, to keep start-up light
         path = resources.files("anticodes.data").joinpath("manifest.json")
     raw = _read_json(path, ManifestError)
     _check(raw, {"entries": (list, True)}, "manifest", ManifestError)

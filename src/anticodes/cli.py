@@ -80,7 +80,7 @@ def _write_code(code, out: str | None) -> int:
         codefile.save_code(code, out)
         print(f"wrote {out}", file=sys.stderr)
     else:
-        doc = codefile.code_to_dict(code, with_distribution=True)
+        doc = codefile.code_to_dict(code)
         codefile._write_json(doc, sys.stdout)
         print()
     return EXIT_OK

@@ -1,9 +1,10 @@
 """Single-document JSON serialization for codes, and the input schemas.
 
 Files are self-describing: the field modulus is stored explicitly, all
-values are integers, and the generator round-trips losslessly. A cached
-weight distribution may be embedded; it is checked against the first walk
-that counts weights, and a mismatch is a ``CodeError``.
+values are integers, and the generator round-trips losslessly. A written
+file embeds its weight distribution; a file read may hold one, which is
+checked against the first walk that counts weights, and a mismatch is a
+``CodeError``.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ def _read_json(path, error):
         raise error(f"{path}: not a JSON document: {exc}") from None
 
 
-def code_to_dict(code: LinearCode, with_distribution: bool = False) -> dict:
-    doc = {
+def code_to_dict(code: LinearCode) -> dict:
+    """The code file of ``code``, its weight distribution embedded."""
+    return {
         "format": FORMAT_NAME,
         "field": {
             "p": code.field.p,
@@ -107,10 +109,8 @@ def code_to_dict(code: LinearCode, with_distribution: bool = False) -> dict:
         "k": code.k,
         "label": code.label,
         "generator": [list(row) for row in code.generator.rows],
+        "weight_distribution": code.weight_distribution().to_dict(),
     }
-    if with_distribution:
-        doc["weight_distribution"] = code.weight_distribution().to_dict()
-    return doc
 
 
 @lru_cache(maxsize=16)      # a field holds O(q) tables, ~MBs at q = 2^16
@@ -167,9 +167,9 @@ def _write_json(value, fh, indent="\n"):
         fh.write(json.dumps(value))
 
 
-def save_code(code: LinearCode, path, with_distribution: bool = True):
+def save_code(code: LinearCode, path):
     with open(path, "w") as fh:
-        _write_json(code_to_dict(code, with_distribution), fh)
+        _write_json(code_to_dict(code), fh)
         fh.write("\n")
 
 

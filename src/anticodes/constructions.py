@@ -12,41 +12,20 @@ byte-reproducible. The points of PG(K-1, q) are in the order of
 from __future__ import annotations
 
 from itertools import chain, combinations
-from math import comb
 
-from .gf import (GF, FieldError, field_make, simplex_columns,
-                 smallest_irreducible)
+from .gf import (GF, FieldError, _evaluate, _size, field_make,
+                 field_of_order, simplex_columns)
 from .linear import (CodeError, LinearCode, WeightDistribution,
                      decimal_limit, point_positions, prints_in_decimal)
 
 LENGTH_CAP = 1 << 20
 
 
-def prime_power(q: int):
-    """(p, e) with q = p^e, or raise."""
-    if q < 2:
-        raise FieldError(f"{q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise FieldError(f"{q} is not a prime power")
-    return p, e
-
-
-def field_of_order(q: int) -> GF:
-    return field_make(*prime_power(q))
-
-
 def _check_length(n: int, what: str) -> None:
     """CodeError for a code of length n over ``LENGTH_CAP``: each builder
     calls it with the length its parameters give, before any column."""
-    if n > LENGTH_CAP:                  # a huge n would not print in decimal
-        size = n if n.bit_length() <= 64 else f"2^{n.bit_length() - 1}+"
-        raise CodeError(f"{what} length {size} over the cap")
+    if n > LENGTH_CAP:
+        raise CodeError(f"{what} length {_size(n)} over the cap")
 
 
 # ----------------------------------------------------------------------
@@ -167,8 +146,10 @@ def complementary_rs(q: int, k: int, h: int = 0) -> LinearCode:
     """
     if h < 0:
         raise CodeError("lift h must be >= 0")
+    label = f"comp-rs({q},{k},h={h})"
+    _check_lift(k + h, label)
     code = complement(moment_curve_points(q, k), K=k + h)
-    code.label = f"comp-rs({q},{k},h={h})"
+    code.label = label
     return code
 
 
@@ -176,10 +157,12 @@ def complementary_mds_trivial(q: int, k: int, h: int = 0) -> LinearCode:
     """Simplex minus the k identity columns (the trivial [k,k,1]_q code)."""
     if k < 2:
         raise CodeError("need k >= 2")
+    label = f"comp-mds({q},{k},h={h})"
+    _check_lift(k + h, label)
     field = field_of_order(q)
     ident = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
     code = complement(LinearCode.from_columns(field, ident), K=k + h)
-    code.label = f"comp-mds({q},{k},h={h})"
+    code.label = label
     return code
 
 
@@ -192,11 +175,17 @@ def fixed_weight_anticode(k: int, w: int) -> LinearCode:
     lexicographic order. Rank is k-1 for even w and k for odd w."""
     if not 2 <= w <= k - 1:
         raise CodeError(f"need 2 <= w <= k-1, got w={w}, k={k}")
-    _check_length(comb(k, w), f"fixed-weight({k},{w})")
+    label = f"fixed-weight({k},{w})"
+    # C(k, j + 1) = C(k, j)(k - j)/(j + 1) up to j = w, or to j = 65 only:
+    # C(k, 65) >= 2^65 when 65 <= k/2, and ``_check_length`` prints a
+    # length past 64 bits as a power of 2 below it
+    n = 1
+    for j in range(min(w, k - w, 65)):
+        n = n * (k - j) // (j + 1)
+    _check_length(n, label)
     cols = sorted(tuple(1 if i in pos else 0 for i in range(k))
                   for pos in combinations(range(k), w))
-    return LinearCode.from_columns(field_make(2, 1), cols,
-                                   label=f"fixed-weight({k},{w})")
+    return LinearCode.from_columns(field_make(2, 1), cols, label=label)
 
 
 # ----------------------------------------------------------------------
@@ -214,15 +203,6 @@ def two_subspace_code(q: int) -> LinearCode:
     if code.k != 4:
         raise CodeError("two-subspace rank != 4")
     return code
-
-
-def _evaluate(field: GF, coeffs, x: int) -> int:
-    """sum of coeffs[i] * x^i in field, by Horner's rule; coefficients are
-    prime-field codes, which are the same in every extension."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def smallest_irreducible_quadratic(field: GF):
@@ -306,16 +286,16 @@ def kasami_code(m: int) -> LinearCode:
     Tr(b*x) + Tr_m(a * x^(2^m + 1)), x over the nonzero ambient elements,
     b ranging over GF(2^(2m)) and a over its GF(2^m) subfield.
 
-    The subfield is never built. It is the image of GF(2^m) that sends x
-    to beta, the smallest root of the GF(2^m) modulus in GF(2^(2m)), so
-    its basis element x^j is beta^j. The norm x^(2^m + 1) lies in the
-    subfield, and so does beta^j times it, whose Tr_m is
-    ``_trace(amb, ., m)``."""
+    GF(2^m) is built only for its modulus. The subfield is its image
+    that sends x to beta, the smallest root of that modulus in
+    GF(2^(2m)), so its basis element x^j is beta^j. The norm
+    x^(2^m + 1) lies in the subfield, and so does beta^j times it, whose
+    Tr_m is ``_trace(amb, ., m)``."""
     if m < 2:
         raise CodeError(f"need m >= 2, got {m}")
     amb = field_make(2, 2 * m)
     xs = range(1, amb.q)
-    modulus = smallest_irreducible(2, m)
+    modulus = field_make(2, m).modulus
     beta = next(x for x in xs if not _evaluate(amb, modulus, x))
     basis = [amb.pow(beta, j) for j in range(m)]
     # the norm takes 2^m - 1 values, each traced once

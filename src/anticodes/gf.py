@@ -34,6 +34,13 @@ def is_prime(p: int) -> bool:
     return _primes(p) == [p]
 
 
+def _size(n: int):
+    """n for a message, or past 64 bits a power of 2 that |n| reaches:
+    str() of a huge int raises."""
+    sign = "-" * (n < 0)
+    return n if n.bit_length() <= 64 else f"{sign}2^{n.bit_length() - 1}+"
+
+
 def _digits(code: int, p: int, length: int):
     out = []
     for _ in range(length):
@@ -120,12 +127,9 @@ def _is_irreducible(poly, p: int) -> bool:
     e = len(poly) - 1
     if e == 1:
         return True
-    for a in range(p):
-        v = 0
-        for c in reversed(poly):
-            v = (v * a + c) % p
-        if not v:
-            return False
+    prime = field_make(p, 1)
+    if not all(_evaluate(prime, poly, a) for a in range(p)):
+        return False
     if e < 4:
         return True
     W, mul = _ring(p, poly)
@@ -157,6 +161,11 @@ def smallest_irreducible(p: int, e: int):
         if _is_irreducible(poly, p):
             return poly
     raise FieldError(f"no irreducible polynomial of degree {e} over GF({p})")
+
+
+def _digit_width(p: int) -> int:
+    """Bits of a lane digit: 1 for p = 2, else sums to 2p - 2 and a guard."""
+    return 1 if p == 2 else (2 * p - 2).bit_length() + 1
 
 
 def _guard(p: int, w: int, lanes: int):
@@ -210,7 +219,7 @@ def _generator_walk(p: int, e: int, modulus):
         G = sum(d << i * W for i, d in enumerate(_digits(g, p, e)))
         if all(_power(mul, G, n) != 1 for n in orders):
             break
-    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    w = _digit_width(p)
     bases = []                                 # g * x^i in w-bit lanes
     for _ in range(e):
         bases.append(sum((G >> i * W & (1 << W) - 1) << i * w
@@ -334,29 +343,45 @@ def field_make(p: int, e: int) -> GF:
     return GF(p, e)
 
 
+def field_of_order(q: int) -> GF:
+    """The canonical field of order q, or one FieldError. The size cap is
+    checked first, so the trial division stays below 2^8 and e below 17."""
+    if not 2 <= q <= SIZE_CAP:
+        raise FieldError(f"field order {_size(q)} is not in [2, {SIZE_CAP}]")
+    p, *others = _primes(q)
+    if others:
+        raise FieldError(f"{q} is not a prime power")
+    return field_make(p, next(e for e in range(1, 17) if p ** e == q))
+
+
+def _evaluate(field: GF, coeffs, x: int) -> int:
+    """sum of coeffs[i] * x^i in field, by Horner's rule; coefficients are
+    prime-field codes, which are the same in every extension."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
 # ----------------------------------------------------------------------
 # packed vectors
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lane_tables(field: GF):
-    """(w, W, lanes, unlane, bits, unbits) of the lane layout of a field:
-    lanes[a] is the lane value of element a, unlane its inverse, bits[a]
-    the lane as a W-bit string and unbits the inverse of the reversed
-    strings (low bit first)."""
-    p, e = field.p, field.e
-    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+def _lane_tables(p: int, e: int):
+    """(w, W, lanes, unlane, bits, unbits) of the lane layout of GF(p^e),
+    which the modulus does not change: lanes[a] is the lane value of
+    element a, unlane its inverse, bits[a] the lane as a W-bit string
+    (most significant bit first) and unbits the inverse of bits."""
+    w = _digit_width(p)
     W = e * w + (p == 2 and e > 1)
     if p == 2 or e == 1:                 # a lane holds the element code
         lanes = unlane = range(p ** e)
-    else:
-        lanes = [0]
-        for d in range(e):
-            lanes = [x | c << d * w for c in range(p) for x in lanes]
-        unlane = {x: a for a, x in enumerate(lanes)}
+    else:                                # the digits of a, one per w bits
+        lanes = _span([1 << d * w for d in range(e)], p, w, e)
+        unlane = dict(zip(lanes, range(p ** e)))
     bits = [format(x, f"0{W}b") for x in lanes]
-    unbits = {b[::-1]: a for a, b in enumerate(bits)}
-    return w, W, lanes, unlane, bits, unbits
+    return w, W, lanes, unlane, bits, dict(zip(bits, range(p ** e)))
 
 
 class _Packing:
@@ -379,7 +404,7 @@ class _Packing:
     def __init__(self, field: GF, length: int):
         p, e = field.p, field.e
         w, W, self.lanes, self.unlane, self._bits, self._unbits = \
-            _lane_tables(field)
+            _lane_tables(p, e)
         every = ((1 << length * W) - 1) // ((1 << W) - 1)   # bit 0 of every lane
         self.field, self.length, self.p, self.w, self.W = field, length, p, w, W
         self.lane = (1 << W) - 1
@@ -400,10 +425,10 @@ class _Packing:
         n, W = self.length, self.W
         if not n:
             return ()
-        s = format(v, f"0{n * W}b")[::-1]
+        s = format(v, f"0{n * W}b")             # coordinate n - 1 first
         if W > 1:
             s = [s[i:i + W] for i in range(0, n * W, W)]
-        return tuple(map(self._unbits.__getitem__, s))
+        return tuple(map(self._unbits.__getitem__, s))[::-1]
 
     def add(self, u: int, v: int) -> int:
         if self.p == 2:
@@ -650,7 +675,7 @@ def simplex_columns(field: GF, K: int, deleted=()) -> Matrix:
     nothing is done per point of PG(K-1, q).
     """
     q = field.q
-    _, W, _, _, bits, _ = _lane_tables(field)
+    _, W, _, _, bits, _ = _lane_tables(field.p, field.e)
     lane = [b[::-1] for b in bits]
     total = (q ** K - 1) // (q - 1)
     kept = zip([0] + [c + 1 for c in deleted], list(deleted) + [total])

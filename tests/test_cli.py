@@ -17,7 +17,7 @@ from anticodes import codefile
 from anticodes import constructions as cons
 from anticodes import linear
 from anticodes.cli import build_parser, main
-from anticodes.gf import FieldError
+from anticodes.gf import FieldError, field_make
 from test_catalog import BAD_ROWS, SIMPLEX_ROW
 
 
@@ -44,7 +44,7 @@ def test_the_code_writer_writes_what_json_dumps_writes():
              if "build" in row]
     codes += [cons.simplex(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)]
     for code in codes:
-        doc = codefile.code_to_dict(code, with_distribution=True)
+        doc = codefile.code_to_dict(code)
         for label in (doc["label"], "", 'caf\u00e9 "1" \\ \n'):
             doc = {**doc, "label": label}
             assert _dumped(doc) == json.dumps(doc, indent=2, sort_keys=True)
@@ -54,7 +54,7 @@ def test_the_code_writer_writes_what_json_dumps_writes():
 
 def test_saved_and_printed_code_files_are_json_dumps_text(tmp_path, capsys):
     code = cons.kasami_code(3)
-    want = json.dumps(codefile.code_to_dict(code, with_distribution=True),
+    want = json.dumps(codefile.code_to_dict(code),
                       indent=2, sort_keys=True) + "\n"
     codefile.save_code(code, tmp_path / "k3.json")
     assert (tmp_path / "k3.json").read_text() == want
@@ -139,7 +139,7 @@ def test_construct_agrees_with_the_catalog(tmp_path, build):
     out = tmp_path / "c.json"
     assert run(_construct_argv(build) + ["--out", str(out)]) == 0
     assert json.loads(out.read_text()) == codefile.code_to_dict(
-        cat.build_code(build), with_distribution=True)
+        cat.build_code(build))
 
 
 def test_construct_lift_is_h(tmp_path):
@@ -148,8 +148,7 @@ def test_construct_lift_is_h(tmp_path):
                 "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert (doc["n"], doc["k"]) == (81, 4)
-    assert doc == codefile.code_to_dict(cons.complementary_rs(4, 3, h=1),
-                                        with_distribution=True)
+    assert doc == codefile.code_to_dict(cons.complementary_rs(4, 3, h=1))
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -303,7 +302,7 @@ def test_swrg_verify_reports_a_bad_code_before_the_print_limit(tmp_path,
     # what is wrong with the code is reported whatever l is
     for name, code in (("ternary", cons.simplex(3, 3)),
                        ("repeated", linear.LinearCode.from_columns(
-                           cons.field_of_order(2),
+                           field_make(2, 1),
                            [(1, 0), (1, 0), (0, 1), (1, 1)]))):
         path = tmp_path / f"{name}.json"
         codefile.save_code(code, path)
@@ -338,7 +337,7 @@ def test_analyze_corrupt_file(tmp_path):
 def test_analyze_forged_distribution_is_usage_error(tmp_path, capsys, code,
                                                     forged):
     path = tmp_path / "code.json"
-    doc = codefile.code_to_dict(code, with_distribution=True)
+    doc = codefile.code_to_dict(code)
     doc["weight_distribution"] = forged
     path.write_text(json.dumps(doc))
     _assert_usage_error(path, capsys)
@@ -346,7 +345,7 @@ def test_analyze_forged_distribution_is_usage_error(tmp_path, capsys, code,
 
 def test_cached_distribution_over_the_cap_stands(monkeypatch):
     # over the enumeration cap nothing can check a claim, so it is used
-    doc = codefile.code_to_dict(cons.simplex(2, 4), with_distribution=True)
+    doc = codefile.code_to_dict(cons.simplex(2, 4))
     monkeypatch.setattr(linear, "ENUM_CAP", 8)
     code = codefile.code_from_dict(doc)
     assert code.weight_distribution().to_dict() == doc["weight_distribution"]
@@ -356,7 +355,7 @@ def test_cached_distribution_over_the_cap_stands(monkeypatch):
                          ids=lambda argv: argv[0])
 def test_an_unchecked_claim_says_so(tmp_path, capsys, monkeypatch, argv):
     # simplex(2, 3) is {0: 1, 4: 7}; over the cap a false claim stands
-    doc = codefile.code_to_dict(cons.simplex(2, 3), with_distribution=True)
+    doc = codefile.code_to_dict(cons.simplex(2, 3))
     forged = _write_doc(tmp_path, {**doc, "weight_distribution": {
         "0": 1, "3": 7}})
     monkeypatch.setenv("ANTICODES_ENUM_CAP", "4")
@@ -512,11 +511,9 @@ def test_catalog_bad_manifest_row_exits_2(tmp_path, capsys, defect):
 
 
 def test_enum_cap_env_override_exit_code(tmp_path):
-    path = tmp_path / "code.json"
-    code = cons.simplex(2, 4)
-    codefile.code_to_dict(code)
-    with open(path, "w") as fh:
-        json.dump(codefile.code_to_dict(code), fh)  # no cached distribution
+    doc = codefile.code_to_dict(cons.simplex(2, 4))
+    del doc["weight_distribution"]          # no claim to stand over the cap
+    path = _write_doc(tmp_path, doc)
     env = dict(os.environ, ANTICODES_ENUM_CAP="8")
     proc = subprocess.run(
         [sys.executable, "-m", "anticodes.cli", "analyze", str(path)],
@@ -535,10 +532,12 @@ def test_console_script_help():
 def test_importing_the_cli_loads_no_inspect_or_csv():
     # a fresh process, since pytest has loaded these modules already
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, anticodes.cli; print(sorted("
-             "{'inspect', 'ast', 'dis', 'csv'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    # -S: no site module, which may load importlib.resources itself
+    probe = ("import sys, anticodes.cli; print(sorted({'inspect', 'ast', "
+             "'dis', 'csv', 'importlib.resources'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
@@ -558,7 +557,9 @@ def test_a_bad_cap_override_is_read_at_use_not_import():
 def test_a_cap_override_applies_when_it_is_set(tmp_path, capsys,
                                                 monkeypatch):
     # simplex(2, 4) has q^k = 16 messages
-    path = _write_doc(tmp_path, codefile.code_to_dict(cons.simplex(2, 4)))
+    doc = codefile.code_to_dict(cons.simplex(2, 4))
+    del doc["weight_distribution"]          # no claim to stand over the cap
+    path = _write_doc(tmp_path, doc)
     monkeypatch.setenv("ANTICODES_ENUM_CAP", "8")
     assert run(["analyze", str(path)]) == 3
     monkeypatch.setenv("ANTICODES_ENUM_CAP", "16")
@@ -664,8 +665,7 @@ def test_analyze_oversized_integer_is_usage_error(tmp_path, capsys):
 
 # a file every command accepts (complement at K = 7), and crafted bad
 # copies of it, each refused on load by every command that reads one
-GOOD = codefile.code_to_dict(cons.complement(cons.dual_bch_code(3), K=6),
-                             with_distribution=True)
+GOOD = codefile.code_to_dict(cons.complement(cons.dual_bch_code(3), K=6))
 ROWS, WD = GOOD["generator"], GOOD["weight_distribution"]
 BAD_INPUTS = {
     "weight-key": {**GOOD, "weight_distribution": {**WD, "\u00b2": 0}},
@@ -698,7 +698,7 @@ BAD_CAPS = [{f"ANTICODES_{cap}": value}
 @pytest.mark.parametrize("argv, doc, env", [
     *[(argv, BAD_INPUTS[bad], {}) for argv in COMMANDS for bad in BAD_INPUTS],
     (["wd-transform", "--K", "10000"],
-     codefile.code_to_dict(cons.simplex(3, 3), with_distribution=True), {}),
+     codefile.code_to_dict(cons.simplex(3, 3)), {}),
     *[(MANIFEST, {"entries": [BAD_ROWS[bad]]}, {})
       for bad in ("expect-scalar-a-string", "expect-unknown-key")],
     (MANIFEST, b"[" * 200000, {}),
@@ -724,8 +724,7 @@ def test_a_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv,
 def test_wd_transform_prints_up_to_the_decimal_limit(tmp_path, capsys):
     # 3^9000 has 4295 digits, under the default limit of 4300; at 640 it
     # is refused, and the largest K left is the last with 3^K < 10^640
-    path = _write_doc(tmp_path, codefile.code_to_dict(
-        cons.simplex(3, 3), with_distribution=True))
+    path = _write_doc(tmp_path, codefile.code_to_dict(cons.simplex(3, 3)))
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)

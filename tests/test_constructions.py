@@ -2,6 +2,7 @@
 
 import re
 import sys
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anticodes import catalog as cat
 from anticodes import constructions as cons
 from anticodes import gf
 from anticodes.gf import GF, FieldError, field_make
@@ -220,7 +222,69 @@ def test_point_set_checks_its_coordinates():
 
 def test_field_of_order_rejects_non_prime_power():
     with pytest.raises(Exception):
-        cons.field_of_order(6)
+        gf.field_of_order(6)
+
+
+def prime_power(q):
+    """(p, e) with q = p^e, or raise: the trial division field_of_order
+    replaced, which runs up to q's smallest prime factor whatever q is."""
+    if q < 2:
+        raise FieldError(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise FieldError(f"{q} is not a prime power")
+    return p, e
+
+
+def _made(make, q):
+    """make(q), or None where it raises a FieldError."""
+    try:
+        return make(q)
+    except FieldError:
+        return None
+
+
+def test_field_of_order_matches_prime_power(monkeypatch):
+    for q in [2, 4, 9, 65521, 3 ** 10, gf.SIZE_CAP]:
+        assert gf.field_of_order(q) is field_make(*prime_power(q))
+    # the rest with field_make as (p, e), so that no field is built; GF
+    # refuses every order over its size cap
+    monkeypatch.setattr(gf, "field_make", lambda p, e: (p, e))
+    for q in [*range(-3, 1 << 12), gf.SIZE_CAP - 1, gf.SIZE_CAP,
+              gf.SIZE_CAP + 1, 65521, 3 ** 10]:
+        want = _made(prime_power, q) if q <= gf.SIZE_CAP else None
+        assert _made(gf.field_of_order, q) == want, q
+
+
+@pytest.mark.parametrize("q", [0, 1, -5, 12, 4294967311, 1000000007,
+                               2 ** 300000],
+                         ids=["0", "1", "-5", "12", "4294967311",
+                              "1000000007", "2^300000"])
+def test_field_of_order_refuses_at_once_in_one_line(q):
+    start = time.perf_counter()
+    with pytest.raises(FieldError) as info:
+        gf.field_of_order(q)
+    assert time.perf_counter() - start < 0.5
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cons.complementary_mds_trivial(2, 20000),
+    lambda: cons.complementary_rs(2, 2000000),
+    lambda: cons.fixed_weight_anticode(1000000, 500000),
+    lambda: cat.FAMILIES["concat-ovoid"](s=100000000000),
+    lambda: cat.FAMILIES["concat-two-subspace"](s=300000),
+], ids=["comp-mds", "comp-rs", "fixed-weight", "concat-ovoid",
+        "concat-two-subspace"])
+def test_a_builder_refuses_before_it_works(build):
+    start = time.perf_counter()
+    with pytest.raises((CodeError, FieldError)):
+        build()
+    assert time.perf_counter() - start < 0.5
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +410,7 @@ def _dimension(q, data, most=800):
 @given(st.data())
 def test_complement_and_simplex_match_the_tuple_route(data):
     q = data.draw(st.sampled_from(SELECTION_FIELDS), label="q")
-    field = cons.field_of_order(q)
+    field = gf.field_of_order(q)
     K = _dimension(q, data)
     assert_tuple_route(cons.simplex(q, K), field, projective_points(field, K))
     dim = data.draw(st.integers(1, K), label="dim")      # dim < K pads S
@@ -374,7 +438,7 @@ def test_complement_and_simplex_match_the_tuple_route(data):
 @given(st.data())
 def test_simplex_columns_less_any_positions(data):
     q = data.draw(st.sampled_from(SELECTION_FIELDS), label="q")
-    field = cons.field_of_order(q)
+    field = gf.field_of_order(q)
     K = _dimension(q, data, most=4000)
     points = projective_points(field, K)
     deleted = sorted(data.draw(st.sets(st.integers(0, len(points) - 1)),
@@ -389,7 +453,7 @@ def test_simplex_columns_less_any_positions(data):
 @given(st.data())
 def test_point_position_is_the_sorted_position(data):
     q = data.draw(st.sampled_from(SELECTION_FIELDS), label="q")
-    field = cons.field_of_order(q)
+    field = gf.field_of_order(q)
     K = data.draw(st.integers(1, max(K for K in range(1, 12)
                                      if q ** K <= 2001)), label="K")
     pad = (0,) * data.draw(st.integers(0, 3), label="pad")
@@ -424,7 +488,7 @@ def test_fixed_weight_matches_the_tuple_route(k, w):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_two_subspace_matches_the_tuple_route(q):
-    field = cons.field_of_order(q)
+    field = gf.field_of_order(q)
     columns = [p for p in projective_points(field, 4)
                if (p[2] == p[3] == 0) or (p[0] == p[1] == 0)]
     assert_tuple_route(cons.two_subspace_code(q), field, columns)
@@ -433,7 +497,7 @@ def test_two_subspace_matches_the_tuple_route(q):
 def ovoid_by_filter(q):
     """The quadric's points as the builder once found them: every point
     of PG(3, q) tested against x0 * x1 = f(x2, x3)."""
-    field = cons.field_of_order(q)
+    field = gf.field_of_order(q)
     c0, c1 = cons.smallest_irreducible_quadratic(field)
 
     def norm_form(a, b):
@@ -448,7 +512,7 @@ def ovoid_by_filter(q):
 def test_ovoid_solving_matches_the_filter(q):
     columns = ovoid_by_filter(q)
     assert len(columns) == q * q + 1
-    assert_tuple_route(cons.ovoid_code(q), cons.field_of_order(q), columns)
+    assert_tuple_route(cons.ovoid_code(q), gf.field_of_order(q), columns)
 
 
 @pytest.mark.parametrize("q", [3, 9])
@@ -462,7 +526,7 @@ def test_ovoid_evaluates_the_norm_form_once_per_point(q, monkeypatch):
         calls[0] += 1
         return mul(self, a, b)
     monkeypatch.setattr(GF, "mul", counted)
-    cons.smallest_irreducible_quadratic(cons.field_of_order(q))
+    cons.smallest_irreducible_quadratic(gf.field_of_order(q))
     search, calls[0] = calls[0], 0
     cons.ovoid_code(q)
     assert calls[0] - search == 5 * q * q

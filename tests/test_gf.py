@@ -1,6 +1,7 @@
 """Field arithmetic, canonical moduli, traces, and linear algebra."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticodes import catalog as cat
-from anticodes.constructions import _evaluate, _trace, field_of_order
+from anticodes.constructions import _trace
 from anticodes.gf import (
-    GF, FieldError, Matrix, _digits, _is_irreducible, _undigits, field_make,
-    is_prime, smallest_irreducible,
+    GF, FieldError, Matrix, _digits, _evaluate, _is_irreducible, _lane_tables,
+    _Packing, _undigits, field_make, field_of_order, is_prime,
+    smallest_irreducible,
 )
 
 FIELDS = [field_make(2, 1), field_make(3, 1), field_make(2, 2),
@@ -373,6 +375,67 @@ def test_irreducibility_matches_trial_division(p, e):
         poly = list(tail) + [1]
         assert _is_irreducible(poly, p) == \
             irreducible_by_trial_division(poly, p), poly
+
+
+# ----------------------------------------------------------------------
+# lane tables: one set per (p, e), whatever the modulus
+# ----------------------------------------------------------------------
+
+def lane_tables_by_loops(p, e):
+    """The per-field builder the lane tables replaced, run on (p, e):
+    digit d of element a at bits [d*w, (d+1)*w), and unbits keyed by the
+    lane strings reversed, low bit first."""
+    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    W = e * w + (p == 2 and e > 1)
+    if p == 2 or e == 1:
+        lanes = unlane = range(p ** e)
+    else:
+        lanes = [0]
+        for d in range(e):
+            lanes = [x | c << d * w for c in range(p) for x in lanes]
+        unlane = {x: a for a, x in enumerate(lanes)}
+    bits = [format(x, f"0{W}b") for x in lanes]
+    unbits = {b[::-1]: a for a, b in enumerate(bits)}
+    return w, W, lanes, unlane, bits, unbits
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS)
+def test_lane_tables_match_the_nested_loops(p, e):
+    w, W, lanes, unlane, bits, unbits = _lane_tables(p, e)
+    want = lane_tables_by_loops(p, e)
+    assert (w, W, list(lanes), bits) == (*want[:2], list(want[2]), want[4])
+    assert [unlane[x] for x in lanes] == [want[3][x] for x in want[2]]
+    # one string per element: unbits is keyed by the strings pack joins
+    assert unbits == {b[::-1]: a for b, a in want[5].items()}
+    assert all(b is k for b, k in zip(bits, unbits))
+    layout, rng = _Packing(field_make(p, e), 7), random.Random(p ** e)
+    for _ in range(20):
+        vec = tuple(rng.randrange(p ** e) for _ in range(7))
+        assert layout.unpack(layout.pack(vec)) == vec
+
+
+def test_lane_tables_are_shared_by_every_modulus():
+    # the canonical and a user modulus of GF(2^4) and of GF(3^2)
+    fields = [field_make(2, 4), GF(2, 4, [1, 0, 0, 1, 1]),
+              field_make(3, 2), GF(3, 2, [2, 1, 1])]
+    _lane_tables.cache_clear()
+    layouts = [_Packing(field, 3) for field in fields]
+    assert _lane_tables.cache_info().currsize == 2
+    assert layouts[0].lanes is layouts[1].lanes
+    assert layouts[2].unlane is layouts[3].unlane
+
+
+def test_the_first_packing_over_gf_2_16_stays_small():
+    # 12.4 MiB with a reversed copy of every lane string
+    field = field_make(2, 16)
+    _lane_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        _Packing(field, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * (1 << 20)
 
 
 # ----------------------------------------------------------------------

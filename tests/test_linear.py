@@ -17,13 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anticodes import codefile, linear
-from anticodes.gf import Matrix, field_make
+from anticodes.gf import Matrix, field_make, field_of_order
 from anticodes.linear import (
     CapExceeded, CodeError, LinearCode, WeightDistribution,
 )
 from anticodes.constructions import (
     complement, complementary_mds_trivial, complementary_rs, dual_bch_code,
-    fixed_weight_anticode, kasami_code, prime_power, rs_code, simplex,
+    fixed_weight_anticode, kasami_code, rs_code, simplex,
 )
 from anticodes.report import code_report
 from test_gf import schoolbook_rref
@@ -153,7 +153,7 @@ def columns_with_repeats(draw):
     """(field, columns): random columns, then zero columns and nonzero
     multiples of them, and the unit columns, which give full rank."""
     q = draw(st.sampled_from(ORACLE_FIELDS))
-    field = field_make(*prime_power(q))
+    field = field_of_order(q)
     k = draw(st.integers(1, 4))
     base = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * k),
                          min_size=1, max_size=6))
@@ -268,7 +268,7 @@ ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
 @st.composite
 def full_rank_codes(draw):
     q = draw(st.sampled_from(ORACLE_FIELDS))
-    field = field_make(*prime_power(q))
+    field = field_of_order(q)
     k = draw(st.integers(1, max(j for j in range(1, 10) if q ** j <= 729)))
     n = draw(st.integers(k, k + 5))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
@@ -304,7 +304,7 @@ def test_blocked_walk_keeps_the_gray_order(q, k, monkeypatch):
     # blocks of at most 4 codewords (of p for p > 4) give the first leads
     # outer steps, with carries between outer digits; the order must be
     # the one a single block per lead walks, class i _class_message's i
-    F, rng = field_make(*prime_power(q)), random.Random(q)
+    F, rng = field_of_order(q), random.Random(q)
     while True:
         rows = [[rng.randrange(q) for _ in range(k + 3)] for _ in range(k)]
         try:

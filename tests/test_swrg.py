@@ -239,7 +239,7 @@ def test_lifted_limit_keeps_the_print_ceiling(code_56, monkeypatch):
 def test_cached_distribution_over_the_enum_cap_is_refused(code_56,
                                                           monkeypatch):
     # over the cap nothing checks a code file's claim, so nothing certifies
-    doc = codefile.code_to_dict(code_56, with_distribution=True)
+    doc = codefile.code_to_dict(code_56)
     monkeypatch.setattr(linear, "ENUM_CAP", 8)
     code = codefile.code_from_dict(doc)
     assert code.weight_distribution().to_dict() == doc["weight_distribution"]
