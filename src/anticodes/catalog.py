@@ -18,8 +18,6 @@ gets the ``error`` verdict and fails it.
 
 from __future__ import annotations
 
-import json
-
 from . import constructions as cons
 from .bounds import antigriesmer
 from .codefile import COUNTS, INTS, _check, _read_json
@@ -92,9 +90,9 @@ def check_build(build) -> None:
 def _build_keys(build: dict) -> tuple:
     """Memo keys of a build description: one for its (family, params),
     then one for its complement if it has one."""
-    key = json.dumps([build["family"], build["params"]], sort_keys=True)
+    key = build["family"], tuple(sorted(build["params"].items()))
     K = build.get("complement_at")
-    return (key,) if K is None else (key, (key, json.dumps(K)))
+    return (key,) if K is None else (key, (key, K))
 
 
 def _built(build: dict, builds: dict):

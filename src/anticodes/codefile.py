@@ -143,11 +143,16 @@ def code_from_dict(doc: dict) -> LinearCode:
     return code
 
 
+# the byte of each code 0..9 -> its ASCII digit
+_ASCII = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _write_json(value, fh, indent="\n"):
     """Write ``value`` to ``fh`` as ``json.dump(value, fh, indent=2,
     sort_keys=True)`` does, for dicts keyed by strings, lists and scalars,
     but each list of plain ints in one ``join`` (json's own encoder makes
-    a Python call per item); no more than one such list is held as text."""
+    a Python call per item), of the list's digits when its ints are all
+    0..9; no more than one such list is held as text."""
     inner = indent + "  "
     if type(value) is dict and value:
         fh.write("{")
@@ -156,7 +161,9 @@ def _write_json(value, fh, indent="\n"):
             _write_json(value[key], fh, inner)
         fh.write(indent + "}")
     elif type(value) is list and value and set(map(type, value)) <= {int}:
-        fh.write(f"[{inner}{(',' + inner).join(map(str, value))}{indent}]")
+        items = (bytearray(value).translate(_ASCII).decode()
+                 if min(value) >= 0 and max(value) <= 9 else map(str, value))
+        fh.write(f"[{inner}{(',' + inner).join(items)}{indent}]")
     elif type(value) is list and value:
         fh.write("[")
         for i, item in enumerate(value):

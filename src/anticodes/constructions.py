@@ -148,6 +148,10 @@ def complementary_rs(q: int, k: int, h: int = 0) -> LinearCode:
         raise CodeError("lift h must be >= 0")
     label = f"comp-rs({q},{k},h={h})"
     _check_lift(k + h, label)
+    if k >= 2:          # else moment_curve_points refuses k, before q
+        field_of_order(q)
+        # the length from the parameters, before the q points are built
+        _check_length((q ** (k + h) - 1) // (q - 1) - q, label)
     code = complement(moment_curve_points(q, k), K=k + h)
     code.label = label
     return code

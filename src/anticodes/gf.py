@@ -384,6 +384,32 @@ def _lane_tables(p: int, e: int):
     return w, W, lanes, unlane, bits, dict(zip(bits, range(p ** e)))
 
 
+# the largest field whose element codes are bytes; a row over such a field
+# is checked, packed and unpacked through ``bytes``
+BYTES_Q = 256
+# int() reads base 2^d, d <= 5, from these digits, in linear time
+_DIGITS = b"0123456789abcdefghijklmnopqrstuv"
+_VALUE = bytes.maketrans(_DIGITS[:16], bytes(range(16)))
+
+
+@lru_cache(maxsize=None)
+def _byte_tables(p: int, e: int):
+    """(codes, d, tables) of the bytes route of GF(p^e), q <= ``BYTES_Q``,
+    built on first use: codes is the bytes of every element code, which
+    deleted from a row's bytes must leave nothing (``checked``); a lane
+    of W bits is read as W/d base-2^d digits, d <= 5 the largest divisor
+    of W, and tables[t] takes a code to the ASCII digit t of its lane,
+    the most significant first."""
+    _, W, lanes, _, _, _ = _lane_tables(p, e)
+    d = next(d for d in (5, 4, 3, 2, 1) if W % d == 0)
+    m = W // d
+    tables = tuple(
+        bytes(_DIGITS[lanes[a] >> (m - 1 - t) * d & (1 << d) - 1]
+              for a in range(p ** e)).ljust(256, b"0")
+        for t in range(m))
+    return bytes(range(p ** e)), d, tables
+
+
 class _Packing:
     """The lane layout of packed vectors of one length over GF(p^e).
 
@@ -416,19 +442,77 @@ class _Packing:
         self.wrap = sum(c << d for d, c in enumerate(field.modulus[:e]))
         self.fold = [(d * w, -c % p) for d, c in enumerate(field.modulus[:e])
                      if c]
+        self._bytes = _byte_tables(p, e) if field.q <= BYTES_Q else None
+
+    def checked(self, row):
+        """``field.check`` on every entry of a row, at C speed, and the row
+        ready for ``pack``: for q <= ``BYTES_Q`` a bytearray of its codes. On
+        a row that fails, ``field.check`` itself raises the FieldError."""
+        # every entry's type is int, so a bool is refused here
+        if list(map(type, row)).count(int) == len(row):
+            if self._bytes is None:
+                if not row or (min(row) >= 0 and max(row) < self.field.q):
+                    return row
+            else:
+                try:
+                    codes = bytearray(row)       # refuses all but 0..255
+                except ValueError:
+                    pass
+                else:                            # nothing left: all below q
+                    if not codes.translate(None, self._bytes[0]):
+                        return codes
+        for x in row:
+            self.field.check(x)
+        return row
 
     def pack(self, vec) -> int:
-        return int("".join(map(self._bits.__getitem__, reversed(vec))) or "0", 2)
+        if self._bytes is None:
+            return int("".join(map(self._bits.__getitem__, reversed(vec)))
+                       or "0", 2)
+        # one translate per lane digit, interleaved, read by one int()
+        _, d, tables = self._bytes
+        codes, m = bytearray(vec)[::-1], len(tables)  # coordinate n - 1 first
+        if m == 1:
+            text = codes.translate(tables[0])
+        else:
+            text = bytearray(len(codes) * m)
+            for t, table in enumerate(tables):
+                text[t::m] = codes.translate(table)
+        return int(text or b"0", 1 << d)
 
     def unpack(self, v: int):
         """The tuple of element codes that ``pack`` maps to v."""
         n, W = self.length, self.W
         if not n:
             return ()
-        s = format(v, f"0{n * W}b")             # coordinate n - 1 first
-        if W > 1:
-            s = [s[i:i + W] for i in range(0, n * W, W)]
-        return tuple(map(self._unbits.__getitem__, s))[::-1]
+        if self._bytes is None:
+            s = format(v, f"0{n * W}b")             # coordinate n - 1 first
+            if W > 1:
+                s = [s[i:i + W] for i in range(0, n * W, W)]
+            return tuple(map(self._unbits.__getitem__, s))[::-1]
+        return tuple(self._code_bytes(v))
+
+    def _code_bytes(self, v: int) -> bytes:
+        """The element codes of the packed v as bytes, q <= ``BYTES_Q``.
+
+        For odd p and e > 1 the digits of each lane are first summed into
+        the code they stand for, which is below 2^W; then every lane holds
+        its code, and its low byte is read by ``format`` or ``to_bytes``.
+        """
+        n, W, p, e = self.length, self.W, self.p, self.field.e
+        if p > 2 and e > 1:
+            w = self.w
+            v = sum(p ** d * (v >> d * w & self.digit0) for d in range(e))
+        if W == 8:
+            return v.to_bytes(n, "little")
+        if W in (1, 3, 4):                       # one digit a lane
+            spec = f"0{n}{'b' if W == 1 else 'o' if W == 3 else 'x'}"
+            return format(v, spec).encode().translate(_VALUE)[::-1]
+        bits, m = format(v, f"0{n * W}b").encode(), min(W, 8)
+        spread = bytearray(b"0") * (8 * n)      # the low m bits, a byte each
+        for j in range(m):
+            spread[8 - m + j::8] = bits[W - m + j::W]
+        return int(spread, 2).to_bytes(n, "little")
 
     def add(self, u: int, v: int) -> int:
         if self.p == 2:
@@ -523,15 +607,6 @@ class _Reducer:
 # linear algebra over GF
 # ----------------------------------------------------------------------
 
-def check_row(field: GF, row):
-    """``field.check`` on every entry of a row, at C speed; on a row that
-    fails, ``field.check`` itself raises the FieldError."""
-    if row and not (set(map(type, row)) <= {int}
-                    and min(row) >= 0 and max(row) < field.q):
-        for x in row:
-            field.check(x)
-
-
 class Matrix:
     """Dense matrix over a GF.
 
@@ -543,13 +618,12 @@ class Matrix:
 
     def __init__(self, field: GF, rows):
         rows = tuple(map(tuple, rows))
-        for r in rows:
-            check_row(field, r)
         ncols = len(rows[0]) if rows else 0
+        layout = _Packing(field, ncols)
+        codes = list(map(layout.checked, rows))
         if any(len(r) != ncols for r in rows):
             raise FieldError("ragged matrix")
-        layout = _Packing(field, ncols)
-        self._set(field, layout, tuple(map(layout.pack, rows)), rows)
+        self._set(field, layout, tuple(map(layout.pack, codes)), rows)
 
     def _set(self, field, layout, packed, given, echelon=None):
         self.field, self.layout, self.packed = field, layout, packed
@@ -669,24 +743,27 @@ def simplex_columns(field: GF, K: int, deleted=()) -> Matrix:
     repeated r = q^(K-1-i) times, and repeats that period of q * r
     points, which divides the block. So the whole row i is
     (q^(K-1-i) - 1)/(q - 1) zeros, r ones, and the period repeated
-    (q^i - 1)/(q - 1) times: a string of lane bit strings (low bit
-    first) made by string repetition. The deleted columns are cut out of
-    it with len(deleted) + 1 slices and the rest is read as one int, so
-    nothing is done per point of PG(K-1, q).
+    (q^i - 1)/(q - 1) times. It is made by string repetition as the
+    packed int's bit string: the last column first, each lane's bit
+    string (``_lane_tables``) as it is, most significant bit first. The
+    deleted columns are cut out of it with len(deleted) + 1 slices, the
+    kept span of columns [a, b) being the text from (total - b) * W to
+    (total - a) * W, and the rest is read as one int, so nothing is done
+    per point of PG(K-1, q).
     """
     q = field.q
     _, W, _, _, bits, _ = _lane_tables(field.p, field.e)
-    lane = [b[::-1] for b in bits]
     total = (q ** K - 1) // (q - 1)
     kept = zip([0] + [c + 1 for c in deleted], list(deleted) + [total])
-    spans = [(a * W, b * W) for a, b in kept if a < b]
+    spans = [((total - b) * W, (total - a) * W) for a, b in kept if a < b]
+    spans.reverse()
     rows = []
     for i in range(K):
         r = q ** (K - 1 - i)
-        row = lane[0] * ((r - 1) // (q - 1)) + lane[1] * r
+        row = bits[1] * r + bits[0] * ((r - 1) // (q - 1))
         if i:                       # row 0 has no period, which would be q^K long
-            row += ("".join(lane[v] * r for v in range(q))
-                    * ((q ** i - 1) // (q - 1)))
-        rows.append(int("".join([row[a:b] for a, b in spans])[::-1] or "0", 2))
+            row = ("".join([b * r for b in reversed(bits)])
+                   * ((q ** i - 1) // (q - 1))) + row
+        rows.append(int("".join([row[a:b] for a, b in spans]) or "0", 2))
     return Matrix._of_packed(field, _Packing(field, total - len(deleted)),
                              tuple(rows))

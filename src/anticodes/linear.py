@@ -216,7 +216,13 @@ class LinearCode:
 
     # ------------------------------------------------------------------
     def is_projective(self) -> bool:
-        """Column test: no zero column, no two columns scalar multiples."""
+        """No zero column and no two columns scalar multiples, i.e. no dual
+        codeword of weight 1 or 2. Under the enumeration cap that is
+        B_1 = B_2 = 0 in the counted distribution (``low_dual_counts``);
+        over it, where a code file's distribution is an unchecked claim,
+        it is the column test of ``point_positions``."""
+        if self.field.q ** self.k <= _cap("ENUM_CAP"):
+            return low_dual_counts(self.weight_distribution()) == (0, 0)
         try:
             point_positions(self.field, zip(*self.generator.rows))
         except CodeError:
@@ -284,6 +290,23 @@ class LinearCode:
         """Sufficient minimality condition: q*d > (q-1)*delta, exactly."""
         wd = self.weight_distribution()
         return self.field.q * wd.min_weight > (self.field.q - 1) * wd.max_weight
+
+
+def low_dual_counts(wd: WeightDistribution):
+    """(B_1, B_2), the dual code's words of weight 1 and 2, from the code's
+    distribution by the MacWilliams identities q^k B_j = sum_w A_w K_j(w),
+    with the Krawtchouk polynomials K_1(w) = (q - 1) n - q w and
+    K_2(w) = (q - 1)^2 C(n - w, 2) - (q - 1)(n - w) w + C(w, 2)
+    (MacWilliams-Sloane, ch. 5), in exact integers. A zero column makes
+    B_1 > 0 and two proportional columns make B_2 > 0."""
+    q, n = wd.q, wd.n
+    s1 = s2 = 0
+    for w, a in wd.counts.items():
+        u = n - w
+        s1 += a * ((q - 1) * n - q * w)
+        s2 += a * ((q - 1) ** 2 * (u * (u - 1) // 2) - (q - 1) * u * w
+                   + w * (w - 1) // 2)
+    return s1 // q ** wd.k, s2 // q ** wd.k
 
 
 def point_positions(field: GF, columns):

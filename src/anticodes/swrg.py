@@ -125,16 +125,18 @@ def verify_swrg(code: LinearCode, l: int = 3) -> dict:
     three-weight projective code from its counted weight distribution.
 
     Over the enumeration cap nothing would check a distribution cached in
-    a code file, so the code must be under it. Every check is made before
-    the distribution is counted.
+    a code file, so the code must be under it. The field, ``l``, printing
+    and cap checks are made before the distribution is counted; then
+    projectivity is read off the counted distribution, so a non-projective
+    code is refused after the walk, which the cap bounds.
     """
     if code.field.q != 2:
         raise CodeError("coset graph needs a binary code")
-    if not code.is_projective():
-        raise CodeError("coset graph needs a projective code")
     _check_walk_length(l, code.n)
     _check_printable(code.n, l)
     if 2 ** code.k > linear._cap("ENUM_CAP"):
         raise CapExceeded(f"q^k = {2 ** code.k} exceeds enumeration cap, "
                           "so the weight distribution cannot be counted")
+    if not code.is_projective():
+        raise CodeError("coset graph needs a projective code")
     return certificate(code.weight_distribution(), l)

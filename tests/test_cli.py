@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,13 @@ def test_the_code_writer_writes_what_json_dumps_writes():
             assert _dumped(doc) == json.dumps(doc, indent=2, sort_keys=True)
     assert _dumped({"a": [], "b": {}, "c": [[1], []]}) == json.dumps(
         {"a": [], "b": {}, "c": [[1], []]}, indent=2, sort_keys=True)
+    # rows of the digits 0..9 are written as one string of digits; rows
+    # with a code >= 10, a negative, a huge or a bool entry are not
+    rows = [[0, 9, 3], [9, 10], [10, 0], [15, 255, 256], [-1, 0, 9],
+            [1 << 70, 1], [True, 1], [0], [7]]
+    for doc in ({"generator": rows}, {f"r{i}": row for i, row in enumerate(rows)},
+                codefile.code_to_dict(cons.simplex(16, 2))):
+        assert _dumped(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_saved_and_printed_code_files_are_json_dumps_text(tmp_path, capsys):
@@ -115,6 +123,17 @@ def test_construct_over_the_length_cap_exits_2(capsys, monkeypatch):
                    "length 2^999999+ over the cap"]
 
 
+def test_construct_comp_rs_over_the_length_cap_exits_2_at_once(capsys):
+    # K = 21 passes the lift check for every q, so the moment-curve
+    # complement is refused from its parameters before its q points are
+    # built (1.2 s when they were built first)
+    start = time.perf_counter()
+    assert run(["construct", "comp-rs", "--q", "65536", "--k", "21"]) == 2
+    assert time.perf_counter() - start < 0.2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: comp-rs(65536,21,h=0) length 2^320+ over the cap"]
+
+
 def _distinct_builds():
     builds = []
     for entry in cat.load_manifest():
@@ -163,6 +182,19 @@ def test_analyze_roundtrip(tmp_path, code_file, capsys):
     assert (report["n"], report["k"], report["d"]) == (7, 3, 4)
     assert report["projective"] is True
     assert report["distribution"] == {"0": 1, "4": 7}
+
+
+def test_analyze_reports_a_repeated_column_not_projective(tmp_path, capsys,
+                                                          monkeypatch):
+    path = tmp_path / "repeated.json"
+    codefile.save_code(linear.LinearCode.from_generator(
+        field_make(2, 1), [[1, 1, 0], [0, 0, 1]]), path)
+    # from the counted distribution, then under the cap from the columns
+    for cap in (None, "1"):
+        if cap:
+            monkeypatch.setenv("ANTICODES_ENUM_CAP", cap)
+        assert run(["analyze", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["projective"] is False
 
 
 def test_analyze_formats(tmp_path, code_file, capsys):

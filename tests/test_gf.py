@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from anticodes import catalog as cat
 from anticodes.constructions import _trace
 from anticodes.gf import (
-    GF, FieldError, Matrix, _digits, _evaluate, _is_irreducible, _lane_tables,
-    _Packing, _undigits, field_make, field_of_order, is_prime,
-    smallest_irreducible,
+    BYTES_Q, GF, FieldError, Matrix, _digits, _evaluate, _is_irreducible,
+    _lane_tables, _Packing, _undigits, field_make, field_of_order, is_prime,
+    simplex_columns, smallest_irreducible,
 )
 
 FIELDS = [field_make(2, 1), field_make(3, 1), field_make(2, 2),
@@ -425,6 +425,51 @@ def test_lane_tables_are_shared_by_every_modulus():
     assert layouts[2].unlane is layouts[3].unlane
 
 
+def join_pack(layout, vec):
+    """The lane-string join that packed every row before the bytes route:
+    the oracle for q <= 256."""
+    bits = _lane_tables(layout.p, layout.field.e)[4]
+    return int("".join(bits[a] for a in reversed(vec)) or "0", 2)
+
+
+def join_unpack(layout, v):
+    """The W-bit slices of v's bit string, each read back through
+    ``unbits``: the unpacking that went with ``join_pack``."""
+    _, W, _, _, _, unbits = _lane_tables(layout.p, layout.field.e)
+    n = layout.length
+    if not n:
+        return ()
+    s = format(v, f"0{n * W}b")
+    return tuple(unbits[s[i:i + W]] for i in range(0, n * W, W))[::-1]
+
+
+BYTE_ORDERS = [q for q in range(2, BYTES_Q + 1)
+               if len({p for p in range(2, q + 1) if q % p == 0 and is_prime(p)})
+               == 1]
+
+
+@pytest.mark.parametrize("q", BYTE_ORDERS)
+def test_bytes_packing_matches_the_join(q):
+    # every field the bytes route serves, hence every lane width W it meets
+    field, rng = field_of_order(q), random.Random(q)
+    for n in range(13):
+        layout = _Packing(field, n)
+        assert layout._bytes is not None
+        vecs = [(0,) * n, (q - 1,) * n]
+        vecs += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(6)]
+        for vec in vecs:
+            v = layout.pack(vec)
+            assert v == join_pack(layout, vec)
+            assert layout.pack(layout.checked(vec)) == v
+            assert layout.unpack(v) == join_unpack(layout, v) == vec
+
+
+def test_bytes_orders_are_every_prime_power_to_256():
+    assert len(BYTE_ORDERS) == 70 and BYTE_ORDERS[-3:] == [243, 251, 256]
+    assert all(_Packing(field_of_order(q), 2)._bytes is None
+               for q in (257, 512, 729))
+
+
 def test_the_first_packing_over_gf_2_16_stays_small():
     # 12.4 MiB with a reversed copy of every lane string
     field = field_make(2, 16)
@@ -552,23 +597,79 @@ def test_matrix_rejects_what_check_rejects(bad, q):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([field_make(2, 1), field_make(3, 1), field_make(2, 2)]),
-       st.lists(st.lists(st.one_of(st.integers(-2, 5), st.booleans(),
-                                   st.just(1.0), st.just("1"),
-                                   st.just(1 << 70)),
+@given(st.sampled_from([field_of_order(q) for q in (2, 3, 4, 9, 13, 256)]),
+       st.lists(st.lists(st.one_of(st.integers(-2, 5), st.integers(7, 14),
+                                   st.booleans(), st.just(1.0), st.just("1"),
+                                   st.just(1 << 70),
+                                   st.sampled_from([255, 256, -1, True, 1.0,
+                                                    1 << 80])),
                          min_size=2, max_size=2), min_size=1, max_size=3))
 def test_matrix_accepts_exactly_what_check_accepts(F, rows):
-    def accepted(x):
+    def refusal(x):
         try:
             F.check(x)
-        except FieldError:
-            return False
-        return True
-    if all(accepted(x) for r in rows for x in r):
+        except FieldError as exc:
+            return str(exc)
+        return None
+    refused = [refusal(x) for r in rows for x in r if refusal(x)]
+    if not refused:
         assert list(Matrix(F, rows).rows) == [tuple(r) for r in rows]
     else:
-        with pytest.raises(FieldError):
+        # the first entry that check refuses, in check's own words
+        with pytest.raises(FieldError) as info:
             Matrix(F, rows)
+        assert str(info.value) == refused[0]
+
+
+def simplex_rows_by_reversal(field, K, deleted=()):
+    """The packed rows of ``simplex_columns`` as its earlier builder made
+    them: from every lane string reversed, low bit first, on each call,
+    cut in column order and read back reversed. The oracle for the
+    builder that cuts the unreversed strings by mirrored spans."""
+    q = field.q
+    _, W, _, _, bits, _ = _lane_tables(field.p, field.e)
+    lane = [b[::-1] for b in bits]
+    total = (q ** K - 1) // (q - 1)
+    kept = zip([0] + [c + 1 for c in deleted], list(deleted) + [total])
+    spans = [(a * W, b * W) for a, b in kept if a < b]
+    rows = []
+    for i in range(K):
+        r = q ** (K - 1 - i)
+        row = lane[0] * ((r - 1) // (q - 1)) + lane[1] * r
+        if i:
+            row += ("".join(lane[v] * r for v in range(q))
+                    * ((q ** i - 1) // (q - 1)))
+        rows.append(int("".join([row[a:b] for a, b in spans])[::-1] or "0", 2))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("q,K", [(2, 1), (2, 6), (3, 4), (4, 3), (5, 3),
+                                 (7, 2), (8, 3), (9, 3), (16, 2), (25, 2),
+                                 (27, 2), (256, 2), (65536, 1), (65536, 2)])
+def test_simplex_columns_match_the_reversing_builder(q, K):
+    field, rng = field_of_order(q), random.Random(q * K)
+    total = (q ** K - 1) // (q - 1)
+    cuts = [(), (0,), (total - 1,), tuple(range(total - 1)),
+            tuple(sorted(rng.sample(range(total), min(total, 5)))),
+            tuple(sorted(rng.sample(range(total), total // 2)))]
+    for deleted in cuts:
+        got = simplex_columns(field, K, deleted)
+        assert got.packed == simplex_rows_by_reversal(field, K, deleted)
+        assert got.ncols == total - len(deleted)
+
+
+def test_simplex_columns_over_gf_2_16_copy_no_lane_table():
+    # with every lane string reversed on each call, K = 1 took 58 ms and
+    # 4.66 MiB traced; the one point of PG(0, q) needs neither
+    field = field_of_order(1 << 16)
+    _lane_tables(2, 16)
+    tracemalloc.start()
+    try:
+        columns = simplex_columns(field, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns.packed == (1,) and peak < 64 << 10
 
 
 def projective_points(field, k):

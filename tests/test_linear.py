@@ -5,12 +5,14 @@ codewords, and against a literal pairwise minimality check on its output.
 """
 
 import gc
+import os
 import random
 import sys
 import tracemalloc
 from collections import Counter
 from functools import reduce
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from anticodes import codefile, linear
 from anticodes.gf import Matrix, field_make, field_of_order
 from anticodes.linear import (
-    CapExceeded, CodeError, LinearCode, WeightDistribution,
+    CapExceeded, CodeError, LinearCode, WeightDistribution, low_dual_counts,
+    point_positions,
 )
 from anticodes.constructions import (
     complement, complementary_mds_trivial, complementary_rs, dual_bch_code,
@@ -173,6 +176,60 @@ def test_projectivity_against_pairwise_oracle(case):
     want = all(any(c) for c in columns) and not any(
         proportional(field, u, v) for u, v in combinations(columns, 2))
     assert code.is_projective() == want
+
+
+@st.composite
+def planted_columns(draw):
+    """(field, columns): the unit columns, which give full rank, random
+    columns, and planted zero, repeated and proportional columns."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    field = field_of_order(q)
+    k = draw(st.integers(1, 4))
+    pool = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    pool += draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * k),
+                          max_size=6))
+    columns = list(pool)
+    for plant in draw(st.lists(st.sampled_from(["zero", "repeat", "multiple"]),
+                               max_size=3)):
+        if plant == "zero":
+            columns.append((0,) * k)
+            continue
+        column = draw(st.sampled_from(pool))
+        c = 1 if plant == "repeat" else draw(st.integers(1, q - 1))
+        columns.append(tuple(field.mul(c, x) for x in column))
+    return field, draw(st.permutations(columns))
+
+
+def column_test(field, columns):
+    """The projectivity verdict of ``point_positions``, the oracle."""
+    try:
+        point_positions(field, columns)
+    except CodeError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_columns())
+def test_projectivity_from_the_distribution_is_the_column_test(case):
+    field, columns = case
+    q = field.q
+    code = LinearCode.from_generator(field, list(zip(*columns)))
+    assert code.is_projective() == column_test(field, columns)
+    # B_1 counts (q - 1) words per zero column, and B_2 (q - 1) per pair of
+    # proportional nonzero columns and (q - 1)^2 per pair of zero columns
+    zeros = sum(1 for c in columns if not any(c))
+    pairs = sum(1 for u, v in combinations(columns, 2)
+                if any(u) and any(v) and proportional(field, u, v))
+    assert low_dual_counts(code.weight_distribution()) == (
+        (q - 1) * zeros, (q - 1) * pairs + (q - 1) ** 2 * zeros * (zeros - 1) // 2)
+    # over the cap the file's distribution is an unchecked claim: the
+    # column test decides, and nothing is counted
+    claimed = codefile.code_from_dict(codefile.code_to_dict(code))
+    with mock.patch.dict(os.environ, {"ANTICODES_ENUM_CAP": "1"}):
+        assert not claimed.distribution_verified
+        assert claimed.is_projective() == column_test(field, columns)
+    assert claimed._wd is None
 
 
 def test_projectivity_of_a_long_code_stays_small():

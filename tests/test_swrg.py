@@ -130,6 +130,21 @@ def test_coset_graph_rejects_nonbinary_and_nonprojective():
         verify_swrg(repeated)
 
 
+def test_l_printing_and_the_cap_are_checked_before_projectivity(monkeypatch):
+    # projectivity is read off the counted distribution, so every check
+    # that needs no walk comes first
+    repeated = LinearCode.from_generator(F2, [[1, 1, 0], [0, 0, 1]])
+    with pytest.raises(CodeError, match="odd l"):
+        verify_swrg(repeated, 4)
+    monkeypatch.setattr(linear, "ENUM_CAP", 2)
+    with pytest.raises(CapExceeded):
+        verify_swrg(repeated)
+    assert repeated._wd is None
+    monkeypatch.setattr(linear, "ENUM_CAP", 4)
+    with pytest.raises(CodeError, match="projective"):
+        verify_swrg(repeated)
+
+
 def test_spectrum_from_wd(code_56):
     spec = spectrum_from_wd(code_56.weight_distribution())
     assert spec == {56: 1, 4: 7, 0: 35, -4: 21}
