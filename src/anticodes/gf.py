@@ -389,6 +389,7 @@ def _lane_tables(p: int, e: int):
 BYTES_Q = 256
 # int() reads base 2^d, d <= 5, from these digits, in linear time
 _DIGITS = b"0123456789abcdefghijklmnopqrstuv"
+# and the digits ``format`` writes for b, o and x back to their values
 _VALUE = bytes.maketrans(_DIGITS[:16], bytes(range(16)))
 
 
